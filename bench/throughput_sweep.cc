@@ -1,9 +1,11 @@
 // GB/s-per-core sweep over the sync hot paths, scalar vs hardware
 // dispatch: CRC32C (slice-by-4 vs SSE4.2/ARMv8 three-stream), the
 // rolling weak-hash scan loop (tabled Adler vs GEAR), batched strong-
-// hash verification (scalar MD5 vs 4-lane interleaved), and the two
+// hash verification (scalar MD5 vs 4-lane interleaved), the two
 // end-to-end kernels those feed — server signature generation
-// (MakeZsyncControl) and client scan (PlanFromControl).
+// (MakeZsyncControl) and client scan (PlanFromControl) — and the paper's
+// collection sync (a gcc-like release through SyncCollectionBatched)
+// serial vs stepped across the thread pool.
 //
 // Run with --json[=path] to emit BENCH_throughput_sweep.json
 // (fsx-bench-v1, with the per-result "throughput" object). Run with
@@ -14,7 +16,10 @@
 //     hash, which is where the e2e client-scan speedup comes from);
 //   - e2e client scan under HW dispatch >= 0.9x scalar (neutrality
 //     smoke: the weak/strong hashes there never touch CRC32C, so the
-//     dispatch layer must be invisible modulo timer noise).
+//     dispatch layer must be invisible modulo timer noise);
+//   - e2e batched collection: the 4-thread run's channel transcript is
+//     byte-identical to the serial run's, and its speed >= 0.9x serial
+//     (a neutral bar: CI runners may have a single core).
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -24,6 +29,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "fsync/core/collection.h"
 #include "fsync/hash/crc32c.h"
 #include "fsync/hash/gear.h"
 #include "fsync/hash/md5.h"
@@ -35,6 +41,7 @@
 #include "fsync/simd/crc32c_kernels.h"
 #include "fsync/simd/dispatch.h"
 #include "fsync/util/random.h"
+#include "fsync/workload/release.h"
 #include "fsync/zsync/zsync.h"
 
 namespace fsx {
@@ -76,9 +83,10 @@ double GibPerS(uint64_t bytes, uint64_t ns) {
 
 struct Row {
   std::string name;
-  std::string tier;
+  std::string tier;  // the variant measured, under config key `axis`
   uint64_t bytes = 0;
   uint64_t ns = 0;
+  std::string axis = "dispatch_tier";
   double Rate() const { return GibPerS(bytes, ns); }
 };
 
@@ -181,6 +189,53 @@ Row BenchMultiround(ByteSpan outdated, ByteSpan current, bool use_gear) {
   return row;
 }
 
+// ---- Collection sync: a gcc-like release through SyncCollectionBatched
+// with every paper technique on, its per-file sessions stepped on
+// `threads` pool lanes. `transcript` receives the channel transcript of
+// the last rep; it must not depend on the thread count. ----
+Row BenchBatchedCollection(
+    const ReleasePair& pair, int threads,
+    std::vector<SimulatedChannel::TranscriptEntry>& transcript) {
+  SyncConfig config;
+  config.start_block_size = 2048;
+  config.min_block_size = 64;
+  config.min_continuation_block = 16;
+  config.use_continuation = true;
+  config.use_decomposable = true;
+  config.verify.group_size = 8;
+  config.verify.continuation_group_size = 2;
+  config.verify.max_batches = 2;
+  config.verify.adaptive_groups = true;
+  config.num_threads = threads;
+  Row row{"e2e-batched-collection", std::to_string(threads),
+          bench::CollectionBytes(pair.new_release), 0, "num_threads"};
+  row.ns = BestOf([&] {
+    SimulatedChannel channel;
+    channel.EnableTranscript();
+    auto r = SyncCollectionBatched(pair.old_release, pair.new_release,
+                                   config, channel);
+    const bool ok = r.ok() && r->reconstructed == pair.new_release;
+    transcript = ok ? channel.transcript()
+                    : std::vector<SimulatedChannel::TranscriptEntry>();
+    return ok ? channel.stats().total_bytes() : 0;
+  });
+  return row;
+}
+
+bool SameTranscript(
+    const std::vector<SimulatedChannel::TranscriptEntry>& a,
+    const std::vector<SimulatedChannel::TranscriptEntry>& b) {
+  if (a.size() != b.size()) {
+    return false;
+  }
+  for (size_t m = 0; m < a.size(); ++m) {
+    if (a[m].dir != b[m].dir || a[m].payload != b[m].payload) {
+      return false;
+    }
+  }
+  return true;
+}
+
 int Main(int argc, char** argv) {
   bool check = false;
   for (int i = 1; i < argc; ++i) {
@@ -204,7 +259,7 @@ int Main(int argc, char** argv) {
   auto add = [&](Row row) {
     Print(row);
     report.Add(row.name)
-        .Config("dispatch_tier", row.tier)
+        .Config(row.axis, row.tier)
         .Throughput(row.bytes, row.ns)
         .Total(0);
     rows.push_back(std::move(row));
@@ -242,6 +297,12 @@ int Main(int argc, char** argv) {
   add(BenchMultiround(shifted, buf, /*use_gear=*/false));
   add(BenchMultiround(shifted, buf, /*use_gear=*/true));
 
+  const ReleasePair release = MakeRelease(GccLikeProfile());
+  std::vector<SimulatedChannel::TranscriptEntry> serial_transcript;
+  std::vector<SimulatedChannel::TranscriptEntry> threaded_transcript;
+  add(BenchBatchedCollection(release, 1, serial_transcript));
+  add(BenchBatchedCollection(release, 4, threaded_transcript));
+
   int rc = report.Write();
   if (check && rc == 0) {
     const char* hw_tier = nullptr;
@@ -273,6 +334,15 @@ int Main(int argc, char** argv) {
     gate("md5 batch4 vs scalar",
          rate_of("md5-verify", "batch4") / rate_of("md5-verify", "scalar"),
          1.0);
+    const bool same = !serial_transcript.empty() &&
+                      SameTranscript(serial_transcript, threaded_transcript);
+    std::printf("check: %-34s %s\n", "e2e-batched-collection transcripts",
+                same ? "identical ok" : "DIVERGED FAIL");
+    if (!same) rc = 1;
+    gate("e2e-batched-collection 4 vs 1 thr",
+         rate_of("e2e-batched-collection", "4") /
+             rate_of("e2e-batched-collection", "1"),
+         0.9);
   }
   return rc;
 }

@@ -126,7 +126,7 @@ void EncodeTokenBlock(const std::vector<Lz77Token>& tokens, BitWriter& out) {
   lit_enc.Encode(kEob, out);
 }
 
-Status DecodeTokenBlock(BitReader& in, Bytes& out) {
+Status DecodeTokenBlock(BitReader& in, Bytes& out, uint64_t max_out) {
   std::vector<uint8_t> lit_len;
   std::vector<uint8_t> dist_len;
   FSYNC_RETURN_IF_ERROR(ReadCodeLengthTable(kNumLitLen, in, lit_len));
@@ -150,10 +150,16 @@ Status DecodeTokenBlock(BitReader& in, Bytes& out) {
       return Status::Ok();
     }
     if (sym < 256) {
+      if (out.size() >= max_out) {
+        return Status::DataLoss("decompressed size overrun");
+      }
       out.push_back(static_cast<uint8_t>(sym));
       continue;
     }
     FSYNC_ASSIGN_OR_RETURN(uint32_t length, LengthFromCode(sym - 257, in));
+    if (length > max_out - out.size()) {
+      return Status::DataLoss("decompressed size overrun");
+    }
     if (!dist_dec.has_value()) {
       return Status::DataLoss("match token without distance code");
     }
@@ -225,16 +231,22 @@ StatusOr<Bytes> Decompress(ByteSpan compressed) {
     return raw;
   }
   in.AlignToByte();
+  // Reserve only what the input left can back: a match token costs at
+  // least two bits and yields at most 258 bytes, so a block expands at
+  // most 1032x. A few header bytes that declare 4 GiB allocate nothing
+  // up front; the buffer grows as tokens decode, never past raw_size.
+  constexpr uint64_t kMaxExpansion = 258 * 4;
   Bytes out;
-  out.reserve(raw_size);
+  out.reserve(std::min(raw_size, kMaxExpansion * (in.bits_remaining() / 8)));
   for (;;) {
     FSYNC_ASSIGN_OR_RETURN(bool last, in.ReadBit());
-    FSYNC_RETURN_IF_ERROR(DecodeTokenBlock(in, out));
+    Status block = DecodeTokenBlock(in, out, raw_size);
+    if (!block.ok()) {
+      // A stream that ends early or decodes wrong is corrupt input.
+      return Status::DataLoss("decompress: " + block.message());
+    }
     if (last) {
       break;
-    }
-    if (out.size() > raw_size) {
-      return Status::DataLoss("decompressed size overrun");
     }
   }
   if (out.size() != raw_size) {

@@ -28,8 +28,9 @@ namespace compress_internal {
 void EncodeTokenBlock(const std::vector<Lz77Token>& tokens, BitWriter& out);
 
 /// Decodes one token block into `out`, which already holds previously
-/// decoded bytes (the window for back references).
-Status DecodeTokenBlock(BitReader& in, Bytes& out);
+/// decoded bytes (the window for back references). Fails with DataLoss
+/// rather than grow `out` past `max_out` bytes.
+Status DecodeTokenBlock(BitReader& in, Bytes& out, uint64_t max_out);
 
 /// DEFLATE length-code mapping: returns (code_index 0..28, extra_bits,
 /// extra_value) for a match length 3..258.

@@ -26,14 +26,19 @@ uint64_t FingerprintExchangeBytes(const Collection& client) {
   return total;
 }
 
-// Per-file fan-out: runs `run_file(name, current)` for every server file
-// across the worker pool and materializes the outcomes in collection
-// iteration order. The caller's fold loop then consumes them in that same
-// order, so stats accumulation and error selection are identical to a
-// serial run (threads change wall-clock time only). A nullopt outcome
-// means run_file skipped the file (unchanged); the fold never reads those
-// slots. Callers must only fan out when no observer is attached — the
-// observer protocol (Snapshot/Restore, phase bytes) is order-sensitive.
+// Per-file fan-out for the drivers that give every file its own channel
+// (SyncCollection and the rsync/cdc/multiround baselines): runs
+// `run_file(name, current)` for every server file across the worker pool
+// and materializes the outcomes in collection iteration order. The
+// caller's fold loop then consumes them in that same order, so stats
+// accumulation and error selection are identical to a serial run
+// (threads change wall-clock time only). A nullopt outcome means
+// run_file skipped the file (unchanged); the fold never reads those
+// slots. These drivers hand the observer to whole per-file sessions and
+// roll it back per file (Snapshot/Restore), which is order-sensitive, so
+// they fan out only when no observer is attached. The multiplexed
+// drivers step their sessions across the pool with an observer attached
+// (RunMultiplexedSessions).
 template <typename R, typename Fn>
 std::vector<std::optional<StatusOr<R>>> ParallelSessions(
     const Collection& server, int num_threads, const Fn& run_file) {
@@ -56,49 +61,91 @@ struct FileSession {
   std::string name;
   std::unique_ptr<SyncClientEndpoint> client_ep;
   std::unique_ptr<CachedServerEndpoint> server_ep;
-  bool live = true;
   bool fallback = false;
 };
 
-// `fp_hints`, when available (the tree driver's server manifest), spares
-// the server endpoint one whole-file hash per session on the warm path.
+// Pool lanes the multiplexed drivers step their sessions on. Sessions
+// are independent, so without a cache they step concurrently. With a
+// shared cache they step on one lane: two sessions racing on equal
+// content would turn a serial hit into two misses, and the cache's
+// counters and LRU order must stay a function of the input.
+int SessionLanes(const SyncConfig& config, const cache::SyncCache* cache) {
+  return cache != nullptr ? 1 : config.num_threads;
+}
+
+// Splits a batch message into its first `count` length-prefixed
+// payloads, as views into `batch` (no copies). A malformed batch yields
+// the payloads ahead of the fault plus the fault itself, so the caller
+// can still step those first and report errors in a serial loop's order.
+struct SplitBatch {
+  std::vector<ByteSpan> payloads;
+  Status status;
+};
+
+SplitBatch SplitPayloads(ByteSpan batch, size_t count) {
+  SplitBatch out;
+  out.payloads.reserve(count);
+  BitReader in(batch);
+  while (out.payloads.size() < count) {
+    StatusOr<uint64_t> len = in.ReadVarint();
+    if (!len.ok()) {
+      out.status = len.status();
+      break;
+    }
+    StatusOr<ByteSpan> payload = in.ReadByteSpan(*len);
+    if (!payload.ok()) {
+      out.status = payload.status();
+      break;
+    }
+    out.payloads.push_back(*payload);
+  }
+  return out;
+}
+
+// `client_fps` / `server_fps` (the announce and classify fingerprints, or
+// the tree driver's manifests) spare each side's endpoint one whole-file
+// hash per session; a file missing from one (new at the client) is
+// hashed by its endpoint.
 std::vector<FileSession> BuildFileSessions(
     const std::vector<std::string>& names, const Collection& client,
     const Collection& server, const SyncConfig& config,
     cache::SyncCache* cache, obs::SyncObserver* obs,
-    const TreeManifest* fp_hints = nullptr) {
+    const TreeManifest& client_fps, const TreeManifest& server_fps) {
   static const Bytes kEmpty;
+  auto fp_of = [](const TreeManifest& fps,
+                  const std::string& name) -> const Fingerprint* {
+    auto it = fps.find(name);
+    return it != fps.end() ? &it->second.fp : nullptr;
+  };
   std::vector<FileSession> sessions;
   sessions.reserve(names.size());
   for (const std::string& name : names) {
     auto cit = client.find(name);
     const Bytes& f_old = cit != client.end() ? cit->second : kEmpty;
     const Bytes& f_new = server.at(name);
-    const Fingerprint* hint = nullptr;
-    if (fp_hints != nullptr) {
-      auto hit = fp_hints->find(name);
-      if (hit != fp_hints->end()) {
-        hint = &hit->second.fp;
-      }
-    }
     FileSession s;
     s.name = name;
-    s.client_ep = std::make_unique<SyncClientEndpoint>(f_old, config);
-    s.server_ep = std::make_unique<CachedServerEndpoint>(f_new, config,
-                                                         cache, obs, hint);
+    s.client_ep = std::make_unique<SyncClientEndpoint>(
+        f_old, config, fp_of(client_fps, name));
+    s.server_ep = std::make_unique<CachedServerEndpoint>(
+        f_new, config, cache, obs, fp_of(server_fps, name));
     sessions.push_back(std::move(s));
   }
   return sessions;
 }
 
-// Every file's initial request, concatenated: the batch the multiplexed
-// loop consumes first. Callers send it themselves so they can pipeline it
-// behind other same-direction messages (a consecutive same-direction send
-// costs no roundtrip).
-Bytes BuildInitialRequestBatch(std::vector<FileSession>& sessions) {
+// Every file's initial request, concatenated in file order: the batch the
+// multiplexed loop consumes first. Callers send it themselves so they can
+// pipeline it behind other same-direction messages (a consecutive
+// same-direction send costs no roundtrip).
+Bytes BuildInitialRequestBatch(std::vector<FileSession>& sessions,
+                               int lanes) {
+  std::vector<Bytes> requests =
+      par::ParallelMap(lanes, sessions.size(), [&](size_t i) {
+        return sessions[i].client_ep->MakeRequest();
+      });
   BitWriter batch;
-  for (FileSession& s : sessions) {
-    Bytes req = s.client_ep->MakeRequest();
+  for (const Bytes& req : requests) {
     batch.WriteVarint(req.size());
     batch.WriteBytes(req);
   }
@@ -114,64 +161,78 @@ struct MultiplexTotals {
 // round for the whole batch, then one extra exchange for the rare
 // fallbacks. `c2s` is the already-received initial request batch. On
 // success every session's client endpoint holds its reconstruction.
+//
+// Each half-round splits the incoming batch into per-file payloads, steps
+// every live session's endpoint across `lanes` pool lanes into a slot
+// per session, then writes the reply batch and updates the live set in
+// file order. The wire bytes and the first error returned are the serial
+// loop's at any lane count. No endpoint stepped here touches the
+// observer unless a cache is installed, and then `lanes` is 1
+// (SessionLanes).
 StatusOr<MultiplexTotals> RunMultiplexedSessions(
-    std::vector<FileSession>& sessions, const SyncConfig& config,
+    std::vector<FileSession>& sessions, const SyncConfig& config, int lanes,
     SimulatedChannel& channel, obs::SyncObserver* obs, Bytes c2s) {
   using Dir = SimulatedChannel::Direction;
   bool first = true;
-  size_t live = sessions.size();
+  std::vector<size_t> live(sessions.size());  // live session ids, in order
+  for (size_t i = 0; i < live.size(); ++i) {
+    live[i] = i;
+  }
   uint32_t batch_round = 0;
-  while (live > 0) {
+  while (!live.empty()) {
     obs::SetRound(obs, ++batch_round);
     const auto round_start = obs != nullptr
                                  ? std::chrono::steady_clock::now()
                                  : std::chrono::steady_clock::time_point();
     // Server: one sub-payload per live file.
     obs::SetPhase(obs, obs::Phase::kCandidates);
-    BitReader in(c2s);
+    SplitBatch up = SplitPayloads(c2s, live.size());
+    std::vector<StatusOr<Bytes>> replies(up.payloads.size(),
+                                         Status::Internal("not stepped"));
+    par::ParallelFor(lanes, replies.size(), [&](size_t i) {
+      CachedServerEndpoint& ep = *sessions[live[i]].server_ep;
+      replies[i] = first ? ep.OnRequest(up.payloads[i])
+                         : ep.OnClientMessage(up.payloads[i]);
+    });
     BitWriter batch;
-    for (FileSession& s : sessions) {
-      if (!s.live) {
-        continue;
-      }
-      FSYNC_ASSIGN_OR_RETURN(uint64_t len, in.ReadVarint());
-      FSYNC_ASSIGN_OR_RETURN(Bytes payload, in.ReadBytes(len));
-      StatusOr<Bytes> reply = first ? s.server_ep->OnRequest(payload)
-                                    : s.server_ep->OnClientMessage(payload);
+    for (const StatusOr<Bytes>& reply : replies) {
       FSYNC_RETURN_IF_ERROR(reply.status());
       batch.WriteVarint(reply->size());
       batch.WriteBytes(*reply);
     }
+    FSYNC_RETURN_IF_ERROR(up.status);
     first = false;
     channel.Send(Dir::kServerToClient, batch.Finish());
     FSYNC_ASSIGN_OR_RETURN(Bytes s2c, channel.Receive(Dir::kServerToClient));
 
     // Client: consume replies; files whose session finished drop out
     // (the server knows too: its endpoint reports done()).
-    BitReader rin(s2c);
+    SplitBatch down = SplitPayloads(s2c, live.size());
+    std::vector<StatusOr<std::optional<Bytes>>> answers(
+        down.payloads.size(), Status::Internal("not stepped"));
+    par::ParallelFor(lanes, answers.size(), [&](size_t i) {
+      answers[i] =
+          sessions[live[i]].client_ep->OnServerMessage(down.payloads[i]);
+    });
     BitWriter next;
-    size_t still_live = 0;
-    for (FileSession& s : sessions) {
-      if (!s.live) {
-        continue;
-      }
-      FSYNC_ASSIGN_OR_RETURN(uint64_t len, rin.ReadVarint());
-      FSYNC_ASSIGN_OR_RETURN(Bytes payload, rin.ReadBytes(len));
-      FSYNC_ASSIGN_OR_RETURN(std::optional<Bytes> reply,
-                             s.client_ep->OnServerMessage(payload));
-      if (reply.has_value()) {
-        next.WriteVarint(reply->size());
-        next.WriteBytes(*reply);
-        ++still_live;
+    std::vector<size_t> still_live;
+    for (size_t i = 0; i < answers.size(); ++i) {
+      FSYNC_RETURN_IF_ERROR(answers[i].status());
+      const std::optional<Bytes>& answer = *answers[i];
+      FileSession& s = sessions[live[i]];
+      if (answer.has_value()) {
+        next.WriteVarint(answer->size());
+        next.WriteBytes(*answer);
+        still_live.push_back(live[i]);
       } else {
         // The server's endpoint reaches done() in the same step, so both
         // sides agree on the live set without signalling.
-        s.live = false;
         s.fallback = s.client_ep->needs_fallback();
       }
     }
-    live = still_live;
-    if (live > 0) {
+    FSYNC_RETURN_IF_ERROR(down.status);
+    live = std::move(still_live);
+    if (!live.empty()) {
       obs::SetPhase(obs, obs::Phase::kVerification);
       channel.Send(Dir::kClientToServer, next.Finish());
       FSYNC_ASSIGN_OR_RETURN(c2s, channel.Receive(Dir::kClientToServer));
@@ -320,10 +381,11 @@ StatusOr<CollectionSyncResult> SyncCollection(const Collection& client,
 
   uint64_t max_roundtrips = 0;
   static const Bytes kEmpty;
-  // Per-file sessions are independent; fan them out when configured and
-  // no observer is attached (the observer's Snapshot/Restore rollback is
-  // order-sensitive). The fold below consumes outcomes in collection
-  // order, so results and stats are identical to the serial path.
+  // Per-file sessions are independent; fan them out when configured, no
+  // observer is attached (the observer's Snapshot/Restore rollback is
+  // order-sensitive) and no cache is shared (SessionLanes). The fold
+  // below consumes outcomes in collection order, so results and stats
+  // are identical to the serial path.
   auto run_one = [&](const std::string& name,
                      const Bytes& current) -> StatusOr<FileSyncResult> {
     auto it = client.find(name);
@@ -332,7 +394,7 @@ StatusOr<CollectionSyncResult> SyncCollection(const Collection& client,
     return SynchronizeFile(outdated, current, config, channel, obs, cache);
   };
   std::vector<std::optional<StatusOr<FileSyncResult>>> pre;
-  if (config.num_threads > 1 && obs == nullptr) {
+  if (SessionLanes(config, cache) > 1 && obs == nullptr) {
     pre = ParallelSessions<FileSyncResult>(server, config.num_threads,
                                            run_one);
   }
@@ -388,16 +450,19 @@ StatusOr<CollectionSyncResult> SyncCollectionBatched(
   CollectionSyncResult result;
   result.files_total = server.size();
 
-  // --- 1. Client announces (name, fingerprint) for every file. ---
+  // --- 1. Client announces (name, fingerprint) for every file. Each
+  //         side hashes its files once, across the pool; the sessions
+  //         below reuse these fingerprints. ---
   obs::SetPhase(obs, obs::Phase::kHandshake);
+  const TreeManifest client_fps =
+      BuildManifestParallel(client, config.num_threads);
   {
     BitWriter msg;
-    msg.WriteVarint(client.size());
-    for (const auto& [name, data] : client) {
+    msg.WriteVarint(client_fps.size());
+    for (const auto& [name, entry] : client_fps) {
       msg.WriteVarint(name.size());
       msg.WriteBytes(ToBytes(name));
-      Fingerprint fp = FileFingerprint(data);
-      msg.WriteBytes(ByteSpan(fp.data(), fp.size()));
+      msg.WriteBytes(ByteSpan(entry.fp.data(), entry.fp.size()));
     }
     channel.Send(Dir::kClientToServer, msg.Finish());
   }
@@ -411,6 +476,8 @@ StatusOr<CollectionSyncResult> SyncCollectionBatched(
   //         is (index into the sorted plan, announce index) so the
   //         client copies locally and both sides skip the session). ---
   std::vector<std::string> sync_names;  // deterministic on both sides
+  const TreeManifest server_fps =
+      BuildManifestParallel(server, config.num_threads);
   {
     BitReader in(announce);
     FSYNC_ASSIGN_OR_RETURN(uint64_t count, in.ReadVarint());
@@ -419,7 +486,6 @@ StatusOr<CollectionSyncResult> SyncCollectionBatched(
     }
     BitWriter verdict;
     std::map<Fingerprint, uint64_t> announced;  // fp -> first index
-    std::map<std::string, Fingerprint> server_fp;  // for planned files
     std::vector<std::string> changed_names;
     for (uint64_t i = 0; i < count; ++i) {
       FSYNC_ASSIGN_OR_RETURN(uint64_t len, in.ReadVarint());
@@ -429,23 +495,20 @@ StatusOr<CollectionSyncResult> SyncCollectionBatched(
       Fingerprint client_fp;
       std::copy(fp_bytes.begin(), fp_bytes.end(), client_fp.begin());
       announced.emplace(client_fp, i);
-      auto it = server.find(name);
-      if (it == server.end()) {
+      auto it = server_fps.find(name);
+      if (it == server_fps.end()) {
         verdict.WriteBits(2, 2);  // delete
         continue;
       }
-      Fingerprint fp = FileFingerprint(it->second);
-      bool same = fp == client_fp;
+      bool same = it->second.fp == client_fp;
       verdict.WriteBits(same ? 0 : 1, 2);
       if (!same) {
-        server_fp[name] = fp;
         changed_names.push_back(std::move(name));
       }
     }
     std::vector<std::string> new_names;
     for (const auto& [name, data] : server) {
       if (!client.contains(name)) {
-        server_fp[name] = FileFingerprint(data);
         new_names.push_back(name);
       }
     }
@@ -461,7 +524,7 @@ StatusOr<CollectionSyncResult> SyncCollectionBatched(
     std::sort(planned.begin(), planned.end());
     std::vector<std::pair<uint64_t, uint64_t>> adopt_pairs;
     for (uint64_t i = 0; i < planned.size(); ++i) {
-      auto it = announced.find(server_fp.at(planned[i]));
+      auto it = announced.find(server_fps.at(planned[i]).fp);
       if (it != announced.end()) {
         adopt_pairs.emplace_back(i, it->second);
       }
@@ -534,13 +597,15 @@ StatusOr<CollectionSyncResult> SyncCollectionBatched(
 
   // --- 3. Multiplex the per-file sessions, one message per direction
   //         per round for the whole batch; then the fallbacks. ---
-  std::vector<FileSession> sessions =
-      BuildFileSessions(sync_names, client, server, config, cache, obs);
-  channel.Send(Dir::kClientToServer, BuildInitialRequestBatch(sessions));
+  const int lanes = SessionLanes(config, cache);
+  std::vector<FileSession> sessions = BuildFileSessions(
+      sync_names, client, server, config, cache, obs, client_fps, server_fps);
+  channel.Send(Dir::kClientToServer,
+               BuildInitialRequestBatch(sessions, lanes));
   FSYNC_ASSIGN_OR_RETURN(Bytes c2s, channel.Receive(Dir::kClientToServer));
   FSYNC_ASSIGN_OR_RETURN(MultiplexTotals totals,
-                         RunMultiplexedSessions(sessions, config, channel,
-                                                obs, std::move(c2s)));
+                         RunMultiplexedSessions(sessions, config, lanes,
+                                                channel, obs, std::move(c2s)));
   result.delta_bytes = totals.delta_bytes;
   for (FileSession& s : sessions) {
     result.reconstructed[s.name] = s.client_ep->result();
@@ -626,13 +691,14 @@ StatusOr<TreeSyncResult> SyncCollectionTree(const Collection& client,
       }
       channel.Send(Dir::kClientToServer, plan.Finish());
     }
+    const int lanes = SessionLanes(params.config, params.cache);
     std::vector<FileSession> sessions =
-        BuildFileSessions(large, client, server, params.config,
-                          params.cache, obs, &server_manifest);
+        BuildFileSessions(large, client, server, params.config, params.cache,
+                          obs, client_manifest, server_manifest);
     if (!sessions.empty()) {
       obs::SetPhase(obs, obs::Phase::kCandidates);
       channel.Send(Dir::kClientToServer,
-                   BuildInitialRequestBatch(sessions));
+                   BuildInitialRequestBatch(sessions, lanes));
     }
 
     // Server: parse the plan; answer the small files with one compressed
@@ -694,8 +760,8 @@ StatusOr<TreeSyncResult> SyncCollectionTree(const Collection& client,
                              channel.Receive(Dir::kClientToServer));
       FSYNC_ASSIGN_OR_RETURN(
           MultiplexTotals totals,
-          RunMultiplexedSessions(sessions, params.config, channel, obs,
-                                 std::move(c2s)));
+          RunMultiplexedSessions(sessions, params.config, lanes, channel,
+                                 obs, std::move(c2s)));
       result.delta_bytes = totals.delta_bytes;
       for (FileSession& s : sessions) {
         result.reconstructed[s.name] = s.client_ep->result();

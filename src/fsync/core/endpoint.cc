@@ -194,7 +194,7 @@ StatusOr<Bytes> SyncServerEndpoint::OnRequest(ByteSpan msg) {
 void SyncServerEndpoint::StartFresh(ByteSpan fp_old, uint64_t n_old,
                                     BitWriter& out) {
   old_size_ = n_old;
-  Fingerprint fp_new = FileFingerprint(f_new_);
+  const Fingerprint& fp_new = NewFingerprint();
   bool unchanged = std::equal(fp_new.begin(), fp_new.end(), fp_old.begin());
   out.WriteBit(unchanged);
   if (unchanged) {
@@ -248,7 +248,7 @@ StatusOr<Bytes> SyncServerEndpoint::OnResumeRequest(ByteSpan msg) {
   // The checkpoint must describe *this* target file and wire config;
   // anything stale means the saved progress is meaningless, so fall back
   // to a fresh session (embedded in the same reply).
-  Fingerprint own = FileFingerprint(f_new_);
+  const Fingerprint& own = NewFingerprint();
   bool ok = std::equal(own.begin(), own.end(), fp_new.begin()) &&
             n_new == f_new_.size() && digest == ConfigWireDigest(config_) &&
             !config_.continuation_first;
@@ -415,6 +415,13 @@ void SyncServerEndpoint::AppendRoundHashes(BitWriter& out) {
   }
 }
 
+const Fingerprint& SyncServerEndpoint::NewFingerprint() {
+  if (!fp_new_.has_value()) {
+    fp_new_ = FileFingerprint(f_new_);
+  }
+  return *fp_new_;
+}
+
 void SyncServerEndpoint::AppendDelta(BitWriter& out) {
   Bytes ref = BuildReference(f_new_, *ledger_, /*client_side=*/false);
   auto delta_or = DeltaEncode(config_.delta_codec, ref, f_new_);
@@ -432,7 +439,8 @@ void SyncServerEndpoint::AppendDelta(BitWriter& out) {
 
 Bytes SyncClientEndpoint::MakeRequest() {
   ++client_msgs_;
-  fp_old_ = FileFingerprint(f_old_);
+  fp_old_ =
+      fp_old_hint_.has_value() ? *fp_old_hint_ : FileFingerprint(f_old_);
   BitWriter out;
   out.WriteBytes(ByteSpan(fp_old_.data(), fp_old_.size()));
   out.WriteVarint(f_old_.size());

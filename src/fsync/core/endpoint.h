@@ -134,9 +134,16 @@ class EndpointBase {
 /// Server side of one file synchronization: holds the *current* file.
 class SyncServerEndpoint : private core_internal::EndpointBase {
  public:
-  /// `f_new` must outlive the endpoint (not copied).
-  SyncServerEndpoint(ByteSpan f_new, const SyncConfig& config)
-      : EndpointBase(config), f_new_(f_new) {}
+  /// `f_new` must outlive the endpoint (not copied). `fp_new_hint`, when
+  /// the caller already holds the file's fingerprint (a collection
+  /// manifest), spares the endpoint a whole-file hash.
+  SyncServerEndpoint(ByteSpan f_new, const SyncConfig& config,
+                     const Fingerprint* fp_new_hint = nullptr)
+      : EndpointBase(config), f_new_(f_new) {
+    if (fp_new_hint != nullptr) {
+      fp_new_ = *fp_new_hint;
+    }
+  }
 
   /// Handles the client's initial request; returns the first server
   /// message.
@@ -175,8 +182,10 @@ class SyncServerEndpoint : private core_internal::EndpointBase {
   void StartFresh(ByteSpan fp_old, uint64_t n_old, BitWriter& out);
   void AppendRoundHashes(BitWriter& out);
   void AppendDelta(BitWriter& out);
+  const Fingerprint& NewFingerprint();
 
   ByteSpan f_new_;
+  std::optional<Fingerprint> fp_new_;  // computed on first use
   uint64_t old_size_ = 0;
   uint64_t delta_payload_bytes_ = 0;
   bool done_ = false;
@@ -188,9 +197,16 @@ class SyncServerEndpoint : private core_internal::EndpointBase {
 /// Client side of one file synchronization: holds the *outdated* file.
 class SyncClientEndpoint : private core_internal::EndpointBase {
  public:
-  /// `f_old` must outlive the endpoint (not copied).
-  SyncClientEndpoint(ByteSpan f_old, const SyncConfig& config)
-      : EndpointBase(config), f_old_(f_old) {}
+  /// `f_old` must outlive the endpoint (not copied). `fp_old_hint`, when
+  /// the caller already holds the file's fingerprint (the collection
+  /// announce), spares MakeRequest a whole-file hash.
+  SyncClientEndpoint(ByteSpan f_old, const SyncConfig& config,
+                     const Fingerprint* fp_old_hint = nullptr)
+      : EndpointBase(config), f_old_(f_old) {
+    if (fp_old_hint != nullptr) {
+      fp_old_hint_ = *fp_old_hint;
+    }
+  }
 
   /// Builds the initial request message.
   Bytes MakeRequest();
@@ -257,6 +273,7 @@ class SyncClientEndpoint : private core_internal::EndpointBase {
   Status ReadDelta(BitReader& in);
 
   ByteSpan f_old_;
+  std::optional<Fingerprint> fp_old_hint_;
   Fingerprint fp_old_{};
   Fingerprint fp_new_{};
   // Resume machinery: the validated checkpoint awaiting the server's

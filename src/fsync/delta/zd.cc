@@ -345,8 +345,13 @@ StatusOr<Bytes> ZdDecode(ByteSpan reference, ByteSpan delta) {
   auto addr_dec_or = HuffmanDecoder::Build(addr_len);
   auto dist_dec_or = HuffmanDecoder::Build(dist_len);
 
+  // Reserve only what the reference and the input left can back (a
+  // literal costs at least one bit), not the declared size: a few header
+  // bytes that declare 4 GiB allocate nothing up front. Copies beyond
+  // that grow the buffer as they decode, never past target_size.
   Bytes out;
-  out.reserve(target_size);
+  out.reserve(std::min<uint64_t>(
+      target_size, reference.size() + 8 * (in.bits_remaining() / 8)));
   uint64_t exp_ref = 0;
   const uint32_t min_match = ZdParams{}.min_match;
 

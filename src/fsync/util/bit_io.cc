@@ -100,7 +100,7 @@ StatusOr<uint64_t> BitReader::ReadVarint() {
 }
 
 StatusOr<Bytes> BitReader::ReadBytes(size_t n) {
-  if (n * 8 > bits_remaining()) {
+  if (n > bits_remaining() / 8) {
     return Status::OutOfRange("ReadBytes: past end of stream");
   }
   Bytes out;
@@ -109,6 +109,18 @@ StatusOr<Bytes> BitReader::ReadBytes(size_t n) {
     FSYNC_ASSIGN_OR_RETURN(uint64_t b, ReadBits(8));
     out.push_back(static_cast<uint8_t>(b));
   }
+  return out;
+}
+
+StatusOr<ByteSpan> BitReader::ReadByteSpan(size_t n) {
+  if ((bit_pos_ & 7) != 0) {
+    return Status::InvalidArgument("ReadByteSpan: not on a byte boundary");
+  }
+  if (n > bits_remaining() / 8) {
+    return Status::OutOfRange("ReadByteSpan: past end of stream");
+  }
+  ByteSpan out = data_.subspan(bit_pos_ / 8, n);
+  bit_pos_ += n * 8;
   return out;
 }
 

@@ -67,6 +67,11 @@ class BitReader {
   /// Reads `n` raw bytes.
   StatusOr<Bytes> ReadBytes(size_t n);
 
+  /// Returns a view of the next `n` bytes without copying them. The
+  /// stream must sit on a byte boundary (it fails otherwise), as it does
+  /// throughout a message built only from varints and whole bytes.
+  StatusOr<ByteSpan> ReadByteSpan(size_t n);
+
   /// Skips to the next byte boundary.
   void AlignToByte();
 

@@ -132,8 +132,14 @@ TEST(BitIo, BytesAndAlignment) {
   Bytes buf = w.Finish();
   BitReader r(buf);
   EXPECT_TRUE(r.ReadBit().value());
+  EXPECT_EQ(r.ReadByteSpan(1).status().code(),
+            StatusCode::kInvalidArgument);  // views need a byte boundary
   r.AlignToByte();
+  BitReader view_reader = r;
   EXPECT_EQ(r.ReadBytes(4).value(), payload);
+  ByteSpan view = view_reader.ReadByteSpan(4).value();
+  EXPECT_EQ(Bytes(view.begin(), view.end()), payload);
+  EXPECT_EQ(view.data(), buf.data() + 1);  // a view, not a copy
 }
 
 TEST(BitIo, ReadPastEndFails) {
@@ -144,6 +150,12 @@ TEST(BitIo, ReadPastEndFails) {
   EXPECT_TRUE(r.ReadBits(8).ok());
   EXPECT_FALSE(r.ReadBits(1).ok());
   EXPECT_EQ(r.ReadBits(1).status().code(), StatusCode::kOutOfRange);
+  // A length whose bit count wraps around 2^64 is still past the end.
+  BitReader huge(buf);
+  EXPECT_EQ(huge.ReadBytes(size_t{1} << 61).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(huge.ReadByteSpan(size_t{1} << 61).status().code(),
+            StatusCode::kOutOfRange);
 }
 
 TEST(BitIo, BitCountTracksExactly) {

@@ -12,8 +12,9 @@ Checks the structural schema plus the accounting invariants the
 observability layer guarantees:
   - bytes.up + bytes.down == bytes.total whenever the split is present;
   - results carrying a "throughput" object (the GB/s sweeps) have
-    non-negative bytes_processed/gib_per_s and a config.dispatch_tier
-    tag naming the kernel tier measured;
+    non-negative bytes_processed/gib_per_s and a config tag naming the
+    variant measured: config.dispatch_tier (the kernel tier) or
+    config.num_threads (the pool lanes);
   - the per-phase byte matrix sums to exactly bytes.up / bytes.down per
     direction whenever phases are present (the same equality the
     conformance suite pins against the channel's TrafficStats);
@@ -155,10 +156,11 @@ def check_result(index, r):
                 and not isinstance(rate, bool) and rate >= 0,
                 f"{where}: throughput.gib_per_s must be a non-negative "
                 "number")
-        require(isinstance(config.get("dispatch_tier"), str)
-                and config["dispatch_tier"],
+        require(any(isinstance(config.get(k), str) and config[k]
+                    for k in ("dispatch_tier", "num_threads")),
                 f"{where}: throughput results must tag "
-                "config.dispatch_tier with the kernel tier measured")
+                "config.dispatch_tier with the kernel tier measured "
+                "or config.num_threads with the pool lanes")
     require("bytes" in r, f"{where}: missing 'bytes'")
     check_bytes(where, r["bytes"])
 
