@@ -29,8 +29,8 @@ int Run(bench::JsonReport& report) {
 
   obs::SyncObserver per_file_obs;
   bench::WallTimer per_file_timer;
-  auto per_file = SyncCollection(pair.old_release, pair.new_release, config,
-                                 &per_file_obs);
+  auto per_file = SyncCollectionWith(pair.old_release, pair.new_release,
+                                     SessionProtocol(config), &per_file_obs);
   if (!per_file.ok()) {
     std::fprintf(stderr, "per-file sync failed: %s\n",
                  per_file.status().ToString().c_str());

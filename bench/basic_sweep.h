@@ -39,8 +39,9 @@ int Run(const ReleaseProfile& profile, const char* dataset,
   for (uint32_t min_block : {512u, 256u, 128u, 64u, 32u, 16u}) {
     obs::SyncObserver observer;
     bench::WallTimer timer;
-    auto r = SyncCollection(pair.old_release, pair.new_release,
-                            BasicConfig(min_block), &observer);
+    auto r = SyncCollectionWith(pair.old_release, pair.new_release,
+                                SessionProtocol(BasicConfig(min_block)),
+                                &observer);
     if (!r.ok()) {
       std::fprintf(stderr, "sync failed: %s\n", r.status().ToString().c_str());
       return 1;
@@ -61,8 +62,8 @@ int Run(const ReleaseProfile& profile, const char* dataset,
   RsyncParams def;
   obs::SyncObserver rsync_observer;
   bench::WallTimer rsync_timer;
-  auto rs = SyncCollectionRsync(pair.old_release, pair.new_release, def,
-                                &rsync_observer);
+  auto rs = SyncCollectionWith(pair.old_release, pair.new_release,
+                               RsyncProtocol(def), &rsync_observer);
   if (!rs.ok()) {
     return 1;
   }

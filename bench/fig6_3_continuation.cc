@@ -39,8 +39,8 @@ int Run(bench::JsonReport& report) {
     config.verify.max_batches = 2;
     obs::SyncObserver observer;
     bench::WallTimer timer;
-    auto r = SyncCollection(pair.old_release, pair.new_release, config,
-                            &observer);
+    auto r = SyncCollectionWith(pair.old_release, pair.new_release,
+                                SessionProtocol(config), &observer);
     if (!r.ok()) {
       std::fprintf(stderr, "sync failed: %s\n",
                    r.status().ToString().c_str());

@@ -65,8 +65,8 @@ int RunDataset(const char* name, const ReleaseProfile& profile,
   RsyncParams def;
   obs::SyncObserver rs_obs;
   bench::WallTimer rs_timer;
-  auto rs = SyncCollectionRsync(pair.old_release, pair.new_release, def,
-                                &rs_obs);
+  auto rs = SyncCollectionWith(pair.old_release, pair.new_release,
+                               RsyncProtocol(def), &rs_obs);
   if (!rs.ok()) return 1;
   observed_row("rsync (b=700)", rs_obs, *rs, rs_timer.Ns());
 
@@ -88,23 +88,24 @@ int RunDataset(const char* name, const ReleaseProfile& profile,
   MultiroundParams mr_params;  // pure recursive partitioning (prior art)
   obs::SyncObserver mr_obs;
   bench::WallTimer mr_timer;
-  auto mr = SyncCollectionMultiround(pair.old_release, pair.new_release,
-                                     mr_params, &mr_obs);
+  auto mr = SyncCollectionWith(pair.old_release, pair.new_release,
+                               MultiroundProtocol(mr_params), &mr_obs);
   if (!mr.ok()) return 1;
   observed_row("multiround rsync", mr_obs, *mr, mr_timer.Ns());
 
   CdcSyncParams cdc_params;  // LBFS-style chunk exchange, extra baseline
   obs::SyncObserver cdc_obs;
   bench::WallTimer cdc_timer;
-  auto cdc = SyncCollectionCdc(pair.old_release, pair.new_release,
-                               cdc_params, &cdc_obs);
+  auto cdc = SyncCollectionWith(pair.old_release, pair.new_release,
+                                CdcProtocol(cdc_params), &cdc_obs);
   if (!cdc.ok()) return 1;
   observed_row("cdc / LBFS-style", cdc_obs, *cdc, cdc_timer.Ns());
 
   obs::SyncObserver ours_obs;
   bench::WallTimer ours_timer;
-  auto ours = SyncCollection(pair.old_release, pair.new_release,
-                             AllTechniquesConfig(), &ours_obs);
+  auto ours = SyncCollectionWith(pair.old_release, pair.new_release,
+                                 SessionProtocol(AllTechniquesConfig()),
+                                 &ours_obs);
   if (!ours.ok()) return 1;
   observed_row("this work (all techniques)", ours_obs, *ours,
                ours_timer.Ns());

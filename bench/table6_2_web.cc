@@ -59,8 +59,8 @@ int Run(bench::JsonReport& report) {
 
     obs::SyncObserver rs_obs;
     bench::WallTimer rs_timer;
-    auto rs = SyncCollectionRsync(old_snap, new_snap, rsync_params,
-                                  &rs_obs);
+    auto rs = SyncCollectionWith(old_snap, new_snap,
+                                 RsyncProtocol(rsync_params), &rs_obs);
     if (!rs.ok()) return 1;
     report.Add("rsync (b=700)")
         .Config("interval_days", static_cast<uint64_t>(gap))
@@ -73,7 +73,8 @@ int Run(bench::JsonReport& report) {
 
     obs::SyncObserver ours_obs;
     bench::WallTimer ours_timer;
-    auto ours = SyncCollection(old_snap, new_snap, config, &ours_obs);
+    auto ours = SyncCollectionWith(old_snap, new_snap,
+                                   SessionProtocol(config), &ours_obs);
     if (!ours.ok()) return 1;
     if (ours->reconstructed != new_snap) {
       std::fprintf(stderr, "reconstruction mismatch!\n");

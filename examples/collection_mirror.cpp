@@ -39,8 +39,8 @@ int main() {
             1);
 
   RsyncParams rsync_params;  // classic defaults (700-byte blocks)
-  auto rsync_result =
-      SyncCollectionRsync(pair.old_release, pair.new_release, rsync_params);
+  auto rsync_result = SyncCollectionWith(pair.old_release, pair.new_release,
+                                         RsyncProtocol(rsync_params));
   if (!rsync_result.ok()) {
     std::fprintf(stderr, "rsync failed: %s\n",
                  rsync_result.status().ToString().c_str());
@@ -49,9 +49,8 @@ int main() {
   print_row("rsync (b=700)", rsync_result->stats.total_bytes(),
             rsync_result->stats.roundtrips);
 
-  auto multiround = SyncCollectionMultiround(pair.old_release,
-                                             pair.new_release,
-                                             MultiroundParams{});
+  auto multiround = SyncCollectionWith(pair.old_release, pair.new_release,
+                                       MultiroundProtocol());
   if (!multiround.ok()) {
     std::fprintf(stderr, "multiround failed: %s\n",
                  multiround.status().ToString().c_str());
@@ -61,7 +60,8 @@ int main() {
             multiround->stats.roundtrips);
 
   SyncConfig config;
-  auto ours = SyncCollection(pair.old_release, pair.new_release, config);
+  auto ours = SyncCollectionWith(pair.old_release, pair.new_release,
+                                 SessionProtocol(config));
   if (!ours.ok()) {
     std::fprintf(stderr, "sync failed: %s\n",
                  ours.status().ToString().c_str());

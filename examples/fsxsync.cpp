@@ -393,14 +393,14 @@ int RunSync(const std::string& src_dir, const std::string& dst_dir,
   fsx::cache::SyncCache* cache =
       server_cache.has_value() ? &*server_cache : nullptr;
   if (method == "rsync") {
-    result = SyncCollectionRsync(*client_tree, *server_tree,
-                                 fsx::RsyncParams{}, obs);
+    result = SyncCollectionWith(*client_tree, *server_tree,
+                                fsx::RsyncProtocol(), obs);
   } else if (method == "cdc") {
-    result = SyncCollectionCdc(*client_tree, *server_tree,
-                               fsx::CdcSyncParams{}, obs);
+    result = SyncCollectionWith(*client_tree, *server_tree,
+                                fsx::CdcProtocol(), obs);
   } else if (method == "multiround") {
-    result = SyncCollectionMultiround(*client_tree, *server_tree,
-                                      fsx::MultiroundParams{}, obs);
+    result = SyncCollectionWith(*client_tree, *server_tree,
+                                fsx::MultiroundProtocol(), obs);
   } else if (method == "fsx") {
     fsx::SyncConfig config = fsx::ChooseConfig(32 * 1024, 32 * 1024);
     if (!config_path.empty()) {

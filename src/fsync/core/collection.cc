@@ -26,34 +26,6 @@ uint64_t FingerprintExchangeBytes(const Collection& client) {
   return total;
 }
 
-// Per-file fan-out for the drivers that give every file its own channel
-// (SyncCollection and the rsync/cdc/multiround baselines): runs
-// `run_file(name, current)` for every server file across the worker pool
-// and materializes the outcomes in collection iteration order. The
-// caller's fold loop then consumes them in that same order, so stats
-// accumulation and error selection are identical to a serial run
-// (threads change wall-clock time only). A nullopt outcome means
-// run_file skipped the file (unchanged); the fold never reads those
-// slots. These drivers hand the observer to whole per-file sessions and
-// roll it back per file (Snapshot/Restore), which is order-sensitive, so
-// they fan out only when no observer is attached. The multiplexed
-// drivers step their sessions across the pool with an observer attached
-// (RunMultiplexedSessions).
-template <typename R, typename Fn>
-std::vector<std::optional<StatusOr<R>>> ParallelSessions(
-    const Collection& server, int num_threads, const Fn& run_file) {
-  std::vector<const Collection::value_type*> files;
-  files.reserve(server.size());
-  for (const auto& kv : server) {
-    files.push_back(&kv);
-  }
-  std::vector<std::optional<StatusOr<R>>> out(files.size());
-  par::ParallelFor(num_threads, files.size(), [&](size_t i) {
-    out[i] = run_file(files[i]->first, files[i]->second);
-  });
-  return out;
-}
-
 // One multiplexed per-file session riding the shared channel. The server
 // side is the caching wrapper: with a shared cache installed, a fan-out
 // of identical collection syncs serves every per-file response from it.
@@ -62,6 +34,11 @@ struct FileSession {
   std::unique_ptr<SyncClientEndpoint> client_ep;
   std::unique_ptr<CachedServerEndpoint> server_ep;
   bool fallback = false;
+  // Taken from the endpoints when the session finishes, so that both can
+  // be freed while the rest of the batch is still running.
+  Bytes result;
+  uint64_t delta_bytes = 0;
+  uint64_t continuation_bits = 0;  // counted only with an observer
 };
 
 // Pool lanes the multiplexed drivers step their sessions on. Sessions
@@ -160,7 +137,7 @@ struct MultiplexTotals {
 // every per-file session to completion with ONE message per direction per
 // round for the whole batch, then one extra exchange for the rare
 // fallbacks. `c2s` is the already-received initial request batch. On
-// success every session's client endpoint holds its reconstruction.
+// success every session holds its reconstruction in `result`.
 //
 // Each half-round splits the incoming batch into per-file payloads, steps
 // every live session's endpoint across `lanes` pool lanes into a slot
@@ -228,6 +205,20 @@ StatusOr<MultiplexTotals> RunMultiplexedSessions(
         // The server's endpoint reaches done() in the same step, so both
         // sides agree on the live set without signalling.
         s.fallback = s.client_ep->needs_fallback();
+        s.delta_bytes = s.server_ep->delta_payload_bytes();
+        if (obs != nullptr) {
+          for (const RoundTrace& t : s.client_ep->trace()) {
+            s.continuation_bits +=
+                static_cast<uint64_t>(t.continuation_hashes) *
+                EffectiveContinuationBits(config, t.round);
+          }
+        }
+        // A fallback session keeps its endpoints for the exchange below.
+        if (!s.fallback && s.client_ep->done()) {
+          s.result = s.client_ep->TakeResult();
+          s.client_ep.reset();
+          s.server_ep.reset();
+        }
       }
     }
     FSYNC_RETURN_IF_ERROR(down.status);
@@ -248,20 +239,15 @@ StatusOr<MultiplexTotals> RunMultiplexedSessions(
   }
 
   MultiplexTotals totals;
+  uint64_t continuation_bits = 0;
   for (const FileSession& s : sessions) {
-    totals.delta_bytes += s.server_ep->delta_payload_bytes();
+    totals.delta_bytes += s.delta_bytes;
+    continuation_bits += s.continuation_bits;
   }
   if (obs != nullptr) {
     // As in SynchronizeFile: move the embedded delta payloads and the
     // continuation-hash bits out of the candidate phase, summed over
     // every multiplexed per-file session. Clamped moves preserve totals.
-    uint64_t continuation_bits = 0;
-    for (const FileSession& s : sessions) {
-      for (const RoundTrace& t : s.client_ep->trace()) {
-        continuation_bits += static_cast<uint64_t>(t.continuation_hashes) *
-                             EffectiveContinuationBits(config, t.round);
-      }
-    }
     obs->Reattribute(obs::Phase::kCandidates, obs::Phase::kDelta,
                      obs::Flow::kDown, totals.delta_bytes);
     obs->Reattribute(obs::Phase::kCandidates, obs::Phase::kContinuation,
@@ -290,7 +276,7 @@ StatusOr<MultiplexTotals> RunMultiplexedSessions(
     BitWriter full_batch;
     for (uint64_t k = 0; k < n; ++k) {
       FSYNC_ASSIGN_OR_RETURN(uint64_t idx, ain.ReadVarint());
-      if (idx >= sessions.size()) {
+      if (idx >= sessions.size() || sessions[idx].server_ep == nullptr) {
         return Status::DataLoss("batched sync: bad fallback index");
       }
       Bytes full = sessions[idx].server_ep->OnFallbackRequest();
@@ -310,9 +296,13 @@ StatusOr<MultiplexTotals> RunMultiplexedSessions(
   }
 
   for (FileSession& s : sessions) {
+    if (s.client_ep == nullptr) {
+      continue;  // finished and freed in the loop
+    }
     if (!s.client_ep->done()) {
       return Status::Internal("batched sync: unfinished session");
     }
+    s.result = s.client_ep->TakeResult();
   }
   return totals;
 }
@@ -366,76 +356,64 @@ TreeManifest BuildManifestParallel(const Collection& files,
 
 }  // namespace
 
-StatusOr<CollectionSyncResult> SyncCollection(const Collection& client,
-                                              const Collection& server,
-                                              const SyncConfig& config,
-                                              obs::SyncObserver* obs,
-                                              cache::SyncCache* cache) {
+StatusOr<CollectionSyncResult> SyncCollectionWith(
+    const Collection& client, const Collection& server,
+    const ProtocolEntry& protocol, obs::SyncObserver* obs) {
   CollectionSyncResult result;
-  result.stats.client_to_server_bytes += FingerprintExchangeBytes(client);
+  result.files_total = server.size();
   // The fingerprint exchange is charged out-of-band (no channel carries
   // it); mirror it into the observer so phase sums match the stats.
-  obs::AddBytes(obs, obs::Phase::kHandshake, obs::Flow::kUp,
-                FingerprintExchangeBytes(client));
-  result.files_total = server.size();
+  const uint64_t exchange = FingerprintExchangeBytes(client);
+  result.stats.client_to_server_bytes = exchange;
+  obs::AddBytes(obs, obs::Phase::kHandshake, obs::Flow::kUp, exchange);
 
-  uint64_t max_roundtrips = 0;
-  static const Bytes kEmpty;
-  // Per-file sessions are independent; fan them out when configured, no
-  // observer is attached (the observer's Snapshot/Restore rollback is
-  // order-sensitive) and no cache is shared (SessionLanes). The fold
-  // below consumes outcomes in collection order, so results and stats
-  // are identical to the serial path.
-  auto run_one = [&](const std::string& name,
-                     const Bytes& current) -> StatusOr<FileSyncResult> {
-    auto it = client.find(name);
-    const Bytes& outdated = it != client.end() ? it->second : kEmpty;
-    SimulatedChannel channel;
-    return SynchronizeFile(outdated, current, config, channel, obs, cache);
+  // Files the client holds with equal bytes are settled by the exchange;
+  // every other server file runs the protocol on its own channel.
+  struct FileRun {
+    const std::string* name;
+    const Bytes* f_old;
+    const Bytes* f_new;
   };
-  std::vector<std::optional<StatusOr<FileSyncResult>>> pre;
-  if (SessionLanes(config, cache) > 1 && obs == nullptr) {
-    pre = ParallelSessions<FileSyncResult>(server, config.num_threads,
-                                           run_one);
-  }
-  size_t file_idx = 0;
+  static const Bytes kEmpty;
+  std::vector<FileRun> runs;
   for (const auto& [name, current] : server) {
-    const size_t idx = file_idx++;
     auto it = client.find(name);
     if (it == client.end()) {
       ++result.files_new;
-    }
-
-    // Unchanged files' session traffic is excluded from the collection
-    // stats below; snapshot the observer so it can be rolled back too.
-    obs::SyncObserver::State mark;
-    if (obs != nullptr) {
-      mark = obs->Snapshot();
-    }
-    StatusOr<FileSyncResult> r_or =
-        pre.empty() ? run_one(name, current) : std::move(*pre[idx]);
-    FSYNC_ASSIGN_OR_RETURN(FileSyncResult r, std::move(r_or));
-    if (r.reconstructed != current) {
-      return Status::Internal("collection sync: reconstruction mismatch");
-    }
-    if (r.unchanged) {
+    } else if (it->second == current) {
       ++result.files_unchanged;
-      // The fingerprint exchange above already paid for detecting this;
-      // do not charge the per-file session's fingerprint again.
-      if (obs != nullptr) {
-        obs->Restore(mark);
-      }
-    } else {
-      result.stats.client_to_server_bytes +=
-          r.stats.client_to_server_bytes;
-      result.stats.server_to_client_bytes +=
-          r.stats.server_to_client_bytes;
-      max_roundtrips = std::max(max_roundtrips, r.stats.roundtrips);
-      result.map_server_to_client_bytes += r.map_server_to_client_bytes;
-      result.map_client_to_server_bytes += r.map_client_to_server_bytes;
-      result.delta_bytes += r.delta_bytes;
+      result.reconstructed[name] = current;
+      continue;
     }
-    result.reconstructed[name] = std::move(r.reconstructed);
+    runs.push_back({&name, it != client.end() ? &it->second : &kEmpty,
+                    &current});
+  }
+
+  // An attached observer follows one session at a time, so observed runs
+  // stay on one lane. The fold takes the slots in collection order, so
+  // results, stats and the first error are the serial loop's.
+  std::vector<StatusOr<ProtocolOutcome>> outcomes(
+      runs.size(), Status::Internal("not run"));
+  par::ParallelFor(obs != nullptr ? 1 : protocol.num_threads, runs.size(),
+                   [&](size_t i) {
+                     SimulatedChannel channel;
+                     outcomes[i] = protocol.run(*runs[i].f_old,
+                                                *runs[i].f_new, channel, obs);
+                   });
+  uint64_t max_roundtrips = 0;
+  for (size_t i = 0; i < runs.size(); ++i) {
+    FSYNC_ASSIGN_OR_RETURN(ProtocolOutcome r, std::move(outcomes[i]));
+    if (r.reconstructed != *runs[i].f_new) {
+      return Status::Internal(protocol.name +
+                              " collection: reconstruction mismatch");
+    }
+    result.stats.client_to_server_bytes += r.stats.client_to_server_bytes;
+    result.stats.server_to_client_bytes += r.stats.server_to_client_bytes;
+    max_roundtrips = std::max(max_roundtrips, r.stats.roundtrips);
+    result.map_server_to_client_bytes += r.map_server_to_client_bytes;
+    result.map_client_to_server_bytes += r.map_client_to_server_bytes;
+    result.delta_bytes += r.delta_bytes;
+    result.reconstructed[*runs[i].name] = std::move(r.reconstructed);
   }
   result.stats.roundtrips = max_roundtrips + 1;  // +1 fingerprint exchange
   return result;
@@ -608,7 +586,7 @@ StatusOr<CollectionSyncResult> SyncCollectionBatched(
                                                 channel, obs, std::move(c2s)));
   result.delta_bytes = totals.delta_bytes;
   for (FileSession& s : sessions) {
-    result.reconstructed[s.name] = s.client_ep->result();
+    result.reconstructed[s.name] = std::move(s.result);
   }
   result.stats = channel.stats();
   return result;
@@ -764,191 +742,12 @@ StatusOr<TreeSyncResult> SyncCollectionTree(const Collection& client,
                                  obs, std::move(c2s)));
       result.delta_bytes = totals.delta_bytes;
       for (FileSession& s : sessions) {
-        result.reconstructed[s.name] = s.client_ep->result();
+        result.reconstructed[s.name] = std::move(s.result);
       }
     }
   }
 
   result.stats = channel.stats();
-  return result;
-}
-
-StatusOr<CollectionSyncResult> SyncCollectionRsync(const Collection& client,
-                                                   const Collection& server,
-                                                   const RsyncParams& params,
-                                                   obs::SyncObserver* obs) {
-  CollectionSyncResult result;
-  result.stats.client_to_server_bytes += FingerprintExchangeBytes(client);
-  obs::AddBytes(obs, obs::Phase::kHandshake, obs::Flow::kUp,
-                FingerprintExchangeBytes(client));
-  result.files_total = server.size();
-
-  uint64_t max_roundtrips = 0;
-  static const Bytes kEmpty;
-  auto run_one = [&](const std::string& name,
-                     const Bytes& current) -> StatusOr<RsyncResult> {
-    auto it = client.find(name);
-    const Bytes& outdated = it != client.end() ? it->second : kEmpty;
-    SimulatedChannel channel;
-    return RsyncSynchronize(outdated, current, params, channel, obs);
-  };
-  std::vector<std::optional<StatusOr<RsyncResult>>> pre;
-  if (params.num_threads > 1 && obs == nullptr) {
-    pre = ParallelSessions<RsyncResult>(
-        server, params.num_threads,
-        [&](const std::string& name,
-            const Bytes& current) -> std::optional<StatusOr<RsyncResult>> {
-          auto it = client.find(name);
-          if (it != client.end() && it->second == current) {
-            return std::nullopt;  // unchanged: the fold skips it
-          }
-          return run_one(name, current);
-        });
-  }
-  size_t file_idx = 0;
-  for (const auto& [name, current] : server) {
-    const size_t idx = file_idx++;
-    auto it = client.find(name);
-    if (it == client.end()) {
-      ++result.files_new;
-    }
-    bool unchanged = it != client.end() && it->second == current;
-    if (unchanged) {
-      ++result.files_unchanged;
-      result.reconstructed[name] = current;
-      continue;  // detected via the fingerprint exchange above
-    }
-    StatusOr<RsyncResult> r_or =
-        pre.empty() ? run_one(name, current) : std::move(*pre[idx]);
-    FSYNC_ASSIGN_OR_RETURN(RsyncResult r, std::move(r_or));
-    if (r.reconstructed != current) {
-      return Status::Internal("rsync collection: reconstruction mismatch");
-    }
-    // Exclude the per-file fingerprint handshake (16 + 17 bytes + framing)
-    // that the batched exchange already covers.
-    result.stats.client_to_server_bytes += r.stats.client_to_server_bytes;
-    result.stats.server_to_client_bytes += r.stats.server_to_client_bytes;
-    max_roundtrips = std::max(max_roundtrips, r.stats.roundtrips);
-    result.reconstructed[name] = std::move(r.reconstructed);
-  }
-  result.stats.roundtrips = max_roundtrips + 1;
-  return result;
-}
-
-StatusOr<CollectionSyncResult> SyncCollectionCdc(const Collection& client,
-                                                 const Collection& server,
-                                                 const CdcSyncParams& params,
-                                                 obs::SyncObserver* obs) {
-  CollectionSyncResult result;
-  result.stats.client_to_server_bytes += FingerprintExchangeBytes(client);
-  obs::AddBytes(obs, obs::Phase::kHandshake, obs::Flow::kUp,
-                FingerprintExchangeBytes(client));
-  result.files_total = server.size();
-
-  uint64_t max_roundtrips = 0;
-  static const Bytes kEmpty;
-  auto run_one = [&](const std::string& name,
-                     const Bytes& current) -> StatusOr<CdcSyncResult> {
-    auto it = client.find(name);
-    const Bytes& outdated = it != client.end() ? it->second : kEmpty;
-    SimulatedChannel channel;
-    return CdcSynchronize(outdated, current, params, channel, obs);
-  };
-  std::vector<std::optional<StatusOr<CdcSyncResult>>> pre;
-  if (params.num_threads > 1 && obs == nullptr) {
-    pre = ParallelSessions<CdcSyncResult>(
-        server, params.num_threads,
-        [&](const std::string& name, const Bytes& current)
-            -> std::optional<StatusOr<CdcSyncResult>> {
-          auto it = client.find(name);
-          if (it != client.end() && it->second == current) {
-            return std::nullopt;
-          }
-          return run_one(name, current);
-        });
-  }
-  size_t file_idx = 0;
-  for (const auto& [name, current] : server) {
-    const size_t idx = file_idx++;
-    auto it = client.find(name);
-    if (it == client.end()) {
-      ++result.files_new;
-    }
-    if (it != client.end() && it->second == current) {
-      ++result.files_unchanged;
-      result.reconstructed[name] = current;
-      continue;
-    }
-    StatusOr<CdcSyncResult> r_or =
-        pre.empty() ? run_one(name, current) : std::move(*pre[idx]);
-    FSYNC_ASSIGN_OR_RETURN(CdcSyncResult r, std::move(r_or));
-    if (r.reconstructed != current) {
-      return Status::Internal("cdc collection: reconstruction mismatch");
-    }
-    result.stats.client_to_server_bytes += r.stats.client_to_server_bytes;
-    result.stats.server_to_client_bytes += r.stats.server_to_client_bytes;
-    max_roundtrips = std::max(max_roundtrips, r.stats.roundtrips);
-    result.reconstructed[name] = std::move(r.reconstructed);
-  }
-  result.stats.roundtrips = max_roundtrips + 1;
-  return result;
-}
-
-StatusOr<CollectionSyncResult> SyncCollectionMultiround(
-    const Collection& client, const Collection& server,
-    const MultiroundParams& params, obs::SyncObserver* obs) {
-  CollectionSyncResult result;
-  result.stats.client_to_server_bytes += FingerprintExchangeBytes(client);
-  obs::AddBytes(obs, obs::Phase::kHandshake, obs::Flow::kUp,
-                FingerprintExchangeBytes(client));
-  result.files_total = server.size();
-
-  uint64_t max_roundtrips = 0;
-  static const Bytes kEmpty;
-  auto run_one = [&](const std::string& name,
-                     const Bytes& current) -> StatusOr<MultiroundResult> {
-    auto it = client.find(name);
-    const Bytes& outdated = it != client.end() ? it->second : kEmpty;
-    SimulatedChannel channel;
-    return MultiroundSynchronize(outdated, current, params, channel, obs);
-  };
-  std::vector<std::optional<StatusOr<MultiroundResult>>> pre;
-  if (params.num_threads > 1 && obs == nullptr) {
-    pre = ParallelSessions<MultiroundResult>(
-        server, params.num_threads,
-        [&](const std::string& name, const Bytes& current)
-            -> std::optional<StatusOr<MultiroundResult>> {
-          auto it = client.find(name);
-          if (it != client.end() && it->second == current) {
-            return std::nullopt;
-          }
-          return run_one(name, current);
-        });
-  }
-  size_t file_idx = 0;
-  for (const auto& [name, current] : server) {
-    const size_t idx = file_idx++;
-    auto it = client.find(name);
-    if (it == client.end()) {
-      ++result.files_new;
-    }
-    if (it != client.end() && it->second == current) {
-      ++result.files_unchanged;
-      result.reconstructed[name] = current;
-      continue;
-    }
-    StatusOr<MultiroundResult> r_or =
-        pre.empty() ? run_one(name, current) : std::move(*pre[idx]);
-    FSYNC_ASSIGN_OR_RETURN(MultiroundResult r, std::move(r_or));
-    if (r.reconstructed != current) {
-      return Status::Internal("multiround collection: mismatch");
-    }
-    result.stats.client_to_server_bytes += r.stats.client_to_server_bytes;
-    result.stats.server_to_client_bytes += r.stats.server_to_client_bytes;
-    max_roundtrips = std::max(max_roundtrips, r.stats.roundtrips);
-    result.reconstructed[name] = std::move(r.reconstructed);
-  }
-  result.stats.roundtrips = max_roundtrips + 1;
   return result;
 }
 

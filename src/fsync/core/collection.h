@@ -1,10 +1,8 @@
 // Collection-level synchronization: maintaining a large replicated set of
 // files (the paper's headline application). Per-file strong fingerprints
 // are exchanged up front so unchanged files cost 16 bytes; changed files
-// run the per-file protocol. Files are processed in batches, so protocol
-// roundtrips are shared across the collection rather than paid per file
-// (paper Section 2.3); the reported roundtrip count is the maximum over
-// the batched per-file sessions.
+// run a per-file protocol. Protocol roundtrips are shared across the
+// collection rather than paid per file (paper Section 2.3).
 #ifndef FSYNC_CORE_COLLECTION_H_
 #define FSYNC_CORE_COLLECTION_H_
 
@@ -12,13 +10,11 @@
 #include <string>
 
 #include "fsync/cache/sync_cache.h"
-#include "fsync/cdc/cdc_sync.h"
-#include "fsync/multiround/multiround.h"
 #include "fsync/core/config.h"
+#include "fsync/core/protocol.h"
 #include "fsync/core/session.h"
 #include "fsync/net/channel.h"
 #include "fsync/reconcile/manifest.h"
-#include "fsync/rsync/rsync.h"
 
 namespace fsx {
 
@@ -28,41 +24,45 @@ using Collection = std::map<std::string, Bytes>;
 /// Aggregate outcome of synchronizing a collection.
 struct CollectionSyncResult {
   Collection reconstructed;
-  TrafficStats stats;  // bytes summed; roundtrips = max over batched files
+  TrafficStats stats;  // bytes summed; roundtrips shared across files
   uint64_t files_total = 0;
   uint64_t files_unchanged = 0;
-  uint64_t files_new = 0;  // absent at the client: full compressed transfer
+  uint64_t files_new = 0;  // absent at the client before the sync
   uint64_t map_server_to_client_bytes = 0;
   uint64_t map_client_to_server_bytes = 0;
   uint64_t delta_bytes = 0;
 };
 
-/// Synchronizes `client` to the server's `server` snapshot with the
-/// paper's protocol. Returns per-collection traffic totals.
+/// Synchronizes `client` to the server's `server` snapshot by running
+/// `protocol` once per file, each on its own channel (paper Table 6.1).
+/// The client's (name, fingerprint) exchange is charged to the stats up
+/// front; every file the client already holds with equal bytes is settled
+/// by it and never runs the protocol. The reported roundtrip count is the
+/// maximum over the per-file runs plus one for the exchange.
 ///
+/// Files run across `protocol.num_threads` pool lanes unless `obs` is set;
+/// results, stats and the first error are the serial loop's either way.
 /// All collection entry points accept an optional `obs::SyncObserver*`:
-/// when set, per-file sessions attribute their traffic to phases and the
-/// observer's totals match the returned stats exactly (unchanged files'
-/// excluded session traffic is rolled back in the observer too, and the
-/// out-of-band fingerprint exchange is charged to the handshake phase).
-///
-/// The collection drivers also accept an optional `cache::SyncCache*`:
-/// a shared server-side response cache that memoizes signatures, deltas,
-/// and compressed payloads across sessions, so a fan-out of N clients
-/// syncing the same snapshot computes each only once. Server-local:
-/// wire bytes are identical with and without it (see docs/caching.md).
-StatusOr<CollectionSyncResult> SyncCollection(
+/// when set, per-file runs attribute their traffic to phases and the
+/// observer's totals match the returned stats exactly (the out-of-band
+/// fingerprint exchange is charged to the handshake phase).
+StatusOr<CollectionSyncResult> SyncCollectionWith(
     const Collection& client, const Collection& server,
-    const SyncConfig& config, obs::SyncObserver* obs = nullptr,
-    cache::SyncCache* cache = nullptr);
+    const ProtocolEntry& protocol, obs::SyncObserver* obs = nullptr);
 
-/// Like SyncCollection, but genuinely multiplexes every per-file session
-/// over the single `channel`: each protocol round sends ONE message per
-/// direction carrying all live files' payloads, so the reported roundtrip
-/// count is the true shared count (the paper's "many files processed
+/// Multiplexes every per-file session of the paper's protocol over the
+/// single `channel`: each protocol round sends ONE message per direction
+/// carrying all live files' payloads, so the reported roundtrip count is
+/// the true shared count (the paper's "many files processed
 /// simultaneously" batching, implemented rather than approximated).
 /// The channel also carries the name/fingerprint exchange and mirror
 /// deletions.
+///
+/// The optional `cache::SyncCache*` is a shared server-side response
+/// cache that memoizes signatures, deltas, and compressed payloads across
+/// sessions, so a fan-out of N clients syncing the same snapshot computes
+/// each only once. Server-local: wire bytes are identical with and
+/// without it (see docs/caching.md).
 StatusOr<CollectionSyncResult> SyncCollectionBatched(
     const Collection& client, const Collection& server,
     const SyncConfig& config, SimulatedChannel& channel,
@@ -84,9 +84,10 @@ struct TreeSyncParams {
   /// session's extra roundtrips cost more than compressing the whole
   /// file into the pipelined bundle.
   uint64_t small_file_threshold = 16 * 1024;
-  /// Optional shared server-side response cache (see SyncCollection).
-  /// Keys ride the manifest content hashes, so entries from a previous
-  /// snapshot are simply never looked up again after a file changes.
+  /// Optional shared server-side response cache (see
+  /// SyncCollectionBatched). Keys ride the manifest content hashes, so
+  /// entries from a previous snapshot are simply never looked up again
+  /// after a file changes.
   cache::SyncCache* cache = nullptr;
 };
 
@@ -120,23 +121,6 @@ StatusOr<TreeSyncResult> SyncCollectionTree(const Collection& client,
                                             const TreeSyncParams& params,
                                             SimulatedChannel& channel,
                                             obs::SyncObserver* obs = nullptr);
-
-/// Same, using classic rsync per changed file (the baseline).
-StatusOr<CollectionSyncResult> SyncCollectionRsync(
-    const Collection& client, const Collection& server,
-    const RsyncParams& params, obs::SyncObserver* obs = nullptr);
-
-/// Same, using the LBFS-style content-defined-chunking protocol per
-/// changed file (the "hash-based OS techniques" baseline).
-StatusOr<CollectionSyncResult> SyncCollectionCdc(
-    const Collection& client, const Collection& server,
-    const CdcSyncParams& params, obs::SyncObserver* obs = nullptr);
-
-/// Same, using the pure recursive-partitioning "multiround rsync"
-/// baseline per changed file (the paper's prior-art starting point).
-StatusOr<CollectionSyncResult> SyncCollectionMultiround(
-    const Collection& client, const Collection& server,
-    const MultiroundParams& params, obs::SyncObserver* obs = nullptr);
 
 /// Baseline: transferring every changed file in full, uncompressed.
 uint64_t CollectionFullTransferBytes(const Collection& client,

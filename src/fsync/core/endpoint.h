@@ -250,6 +250,8 @@ class SyncClientEndpoint : private core_internal::EndpointBase {
   /// fingerprint check; region repair can likely fix it in place.
   bool has_repair_candidate() const { return repair_candidate_.has_value(); }
   const Bytes& result() const { return result_; }
+  /// Moves the reconstruction out; result() is empty afterwards.
+  Bytes TakeResult() { return std::move(result_); }
   const std::vector<RoundTrace>& trace() const { return trace_; }
   int rounds_executed() const { return rounds_executed_; }
   int completed_rounds() const { return completed_rounds_; }

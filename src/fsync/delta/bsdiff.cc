@@ -202,6 +202,12 @@ StatusOr<Bytes> BsdiffDecode(ByteSpan source, ByteSpan delta) {
   FSYNC_ASSIGN_OR_RETURN(Bytes ctrl, GetSection(in));
   FSYNC_ASSIGN_OR_RETURN(Bytes diff, GetSection(in));
   FSYNC_ASSIGN_OR_RETURN(Bytes extra, GetSection(in));
+  // Every output byte comes from the diff or the extra section, so a
+  // larger declared target is a lie; checking first bounds the reserve
+  // by the input.
+  if (target_size > diff.size() + extra.size()) {
+    return Status::DataLoss("bsdiff: target exceeds diff + extra sections");
+  }
 
   Bytes out;
   out.reserve(target_size);

@@ -307,8 +307,9 @@ StatusOr<Bytes> VcdiffDecode(ByteSpan source, ByteSpan delta) {
   ByteSpan inst_sec = delta.subspan(pos + data_len, inst_len);
   ByteSpan addr_sec = delta.subspan(pos + data_len + inst_len, addr_len);
 
+  // The output grows as instructions decode: tgt_size is a claim checked
+  // against every instruction, never an up-front allocation.
   Bytes out;
-  out.reserve(tgt_size);
   AddressCache cache;
   size_t dp = 0, ip = 0, ap = 0;
 

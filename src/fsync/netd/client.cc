@@ -5,6 +5,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <poll.h>
 #include <thread>
 
@@ -247,21 +248,29 @@ StatusOr<ClientResult> RunSyncClient(const Collection& local,
   }
 
   // Plan: unchanged files copy locally; everything else runs a session.
-  std::deque<std::string> pending;
+  // A same-size stale file's plan fingerprint rides along as its
+  // endpoint's hint, so no local file is hashed twice.
+  struct PendingFile {
+    std::string path;
+    std::optional<Fingerprint> fp_old;
+  };
+  std::deque<PendingFile> pending;
   result.files_total = manifest.size();
   for (const auto& [path, entry] : manifest) {
     auto it = local.find(path);
-    if (it != local.end() && it->second.size() == entry.size &&
-        FileFingerprint(ByteSpan(it->second.data(), it->second.size())) ==
-            entry.fingerprint) {
-      result.reconstructed[path] = it->second;
-      ++result.files_unchanged;
-      continue;
+    std::optional<Fingerprint> fp_old;
+    if (it != local.end() && it->second.size() == entry.size) {
+      fp_old = FileFingerprint(ByteSpan(it->second.data(), it->second.size()));
+      if (*fp_old == entry.fingerprint) {
+        result.reconstructed[path] = it->second;
+        ++result.files_unchanged;
+        continue;
+      }
     }
     if (it == local.end()) {
       ++result.files_new;
     }
-    pending.push_back(path);
+    pending.push_back({path, fp_old});
   }
   for (const auto& [path, data] : local) {
     if (manifest.find(path) == manifest.end()) {
@@ -277,8 +286,9 @@ StatusOr<ClientResult> RunSyncClient(const Collection& local,
   auto open_next = [&]() -> Status {
     while (!draining && !pending.empty() &&
            sessions.size() < static_cast<size_t>(options.max_streams)) {
-      const std::string path = pending.front();
+      const PendingFile next = std::move(pending.front());
       pending.pop_front();
+      const std::string& path = next.path;
       FileSession s;
       s.path = path;
       auto it = local.find(path);
@@ -286,7 +296,8 @@ StatusOr<ClientResult> RunSyncClient(const Collection& local,
         s.f_old = it->second;
       }
       s.ep = std::make_unique<SyncClientEndpoint>(
-          ByteSpan(s.f_old.data(), s.f_old.size()), config);
+          ByteSpan(s.f_old.data(), s.f_old.size()), config,
+          next.fp_old ? &*next.fp_old : nullptr);
       s.ckpt_path = CheckpointPathFor(options.checkpoint_dir, path);
       OpenFile open;
       open.path = path;

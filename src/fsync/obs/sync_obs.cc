@@ -73,12 +73,6 @@ SyncObserver::State SyncObserver::Snapshot() const {
   return state;
 }
 
-void SyncObserver::Restore(const State& state) {
-  std::memcpy(bytes_, state.bytes, sizeof(bytes_));
-  std::memcpy(events_, state.events, sizeof(events_));
-  rounds_completed_ = state.rounds;
-}
-
 void SyncObserver::FlushTo(MetricsRegistry& registry,
                            const std::string& prefix) const {
   for (int p = 0; p < kNumPhases; ++p) {

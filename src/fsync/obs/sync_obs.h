@@ -158,7 +158,7 @@ class SyncObserver {
   void OnWireMessage(Flow dir, uint64_t bytes);
 
   /// Adds bytes that bypass a channel (e.g. the out-of-band fingerprint
-  /// exchange SyncCollection charges to its stats directly).
+  /// exchange SyncCollectionWith charges to its stats directly).
   void AddBytes(Phase phase, Flow dir, uint64_t bytes);
 
   /// Moves up to `bytes` from one phase to another within a direction,
@@ -199,16 +199,14 @@ class SyncObserver {
   const Histogram& round_ns() const { return round_ns_; }
   const Histogram& message_bytes() const { return message_bytes_; }
 
-  /// Byte-matrix snapshot, for excluding a sub-session after the fact
-  /// (SyncCollection skips unchanged files' traffic; the observer must
-  /// agree with the collection's stats, so it rolls back too).
+  /// Copy of the byte matrix, the event counters and the round count,
+  /// for comparing what two runs attributed.
   struct State {
     uint64_t bytes[kNumPhases][2] = {};
     uint64_t events[kNumEvents] = {};
     uint32_t rounds = 0;
   };
   State Snapshot() const;
-  void Restore(const State& state);
 
   /// Folds the accumulated state into named registry instruments under
   /// `prefix` (e.g. "session"): `<prefix>.bytes.<phase>.<dir>` counters,

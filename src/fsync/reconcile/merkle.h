@@ -63,7 +63,7 @@ StatusOr<ReconcileResult> MerkleReconcile(const FileDigestMap& client_files,
                                           obs::SyncObserver* obs = nullptr);
 
 /// Baseline for comparison: the full fingerprint exchange used by
-/// SyncCollection (client sends every (name, fingerprint)).
+/// SyncCollectionWith (client sends every (name, fingerprint)).
 uint64_t FullExchangeBytes(const FileDigestMap& client_files);
 
 }  // namespace fsx

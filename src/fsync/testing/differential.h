@@ -13,8 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "fsync/core/protocol.h"
 #include "fsync/testing/corpus.h"
-#include "fsync/testing/protocols.h"
 #include "fsync/testing/tree_corpus.h"
 #include "fsync/testing/tree_protocols.h"
 

@@ -11,11 +11,11 @@
 #include <string>
 #include <vector>
 
+#include "fsync/core/protocol.h"
 #include "fsync/core/session.h"
 #include "fsync/obs/sync_obs.h"
 #include "fsync/testing/corpus.h"
 #include "fsync/testing/faults.h"
-#include "fsync/testing/protocols.h"
 #include "fsync/transport/reliable.h"
 #include "fsync/util/random.h"
 

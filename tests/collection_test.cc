@@ -34,7 +34,7 @@ Snapshots MakeSnapshots(uint64_t seed, int files) {
 TEST(Collection, SyncReconstructsEveryFile) {
   Snapshots s = MakeSnapshots(1, 12);
   SyncConfig config;
-  auto r = SyncCollection(s.old_snap, s.new_snap, config);
+  auto r = SyncCollectionWith(s.old_snap, s.new_snap, SessionProtocol(config));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->reconstructed, s.new_snap);
   EXPECT_EQ(r->files_total, s.new_snap.size());
@@ -50,7 +50,7 @@ TEST(Collection, UnchangedFilesCostOnlyFingerprints) {
     s.new_snap["f" + std::to_string(i)] = content;
   }
   SyncConfig config;
-  auto r = SyncCollection(s.old_snap, s.new_snap, config);
+  auto r = SyncCollectionWith(s.old_snap, s.new_snap, SessionProtocol(config));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->files_unchanged, 10u);
   // Fingerprint exchange only: ~(16 + name) per file.
@@ -62,7 +62,7 @@ TEST(Collection, NewFilesAreTransferred) {
   Rng rng(4);
   s.new_snap["brand_new"] = SynthSourceFile(rng, 15000);
   SyncConfig config;
-  auto r = SyncCollection(s.old_snap, s.new_snap, config);
+  auto r = SyncCollectionWith(s.old_snap, s.new_snap, SessionProtocol(config));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->files_new, 1u);
   EXPECT_EQ(r->reconstructed.at("brand_new"), s.new_snap.at("brand_new"));
@@ -72,27 +72,33 @@ TEST(Collection, DeletedFilesDisappear) {
   Snapshots s = MakeSnapshots(5, 5);
   s.new_snap.erase(s.new_snap.begin());
   SyncConfig config;
-  auto r = SyncCollection(s.old_snap, s.new_snap, config);
+  auto r = SyncCollectionWith(s.old_snap, s.new_snap, SessionProtocol(config));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->reconstructed, s.new_snap);
 }
 
-TEST(Collection, RsyncBaselineReconstructs) {
-  Snapshots s = MakeSnapshots(6, 10);
-  RsyncParams params;
-  auto r = SyncCollectionRsync(s.old_snap, s.new_snap, params);
+TEST(Collection, NewEmptyFileRunsTheProtocol) {
+  // Only a file the client holds with equal bytes is settled by the
+  // fingerprint exchange. A new file runs the protocol even when empty
+  // (the client has nothing to announce for it).
+  Collection server = {{"empty", {}}};
+  auto r = SyncCollectionWith({}, server, SessionProtocol());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->reconstructed, s.new_snap);
+  EXPECT_EQ(r->reconstructed, server);
+  EXPECT_EQ(r->files_new, 1u);
+  EXPECT_EQ(r->files_unchanged, 0u);
+  EXPECT_GT(r->stats.total_bytes(), 0u);
+  EXPECT_GE(r->stats.roundtrips, 2u);
 }
 
-TEST(Collection, CdcBaselineReconstructs) {
-  Snapshots s = MakeSnapshots(9, 10);
-  CdcSyncParams params;
-  auto r = SyncCollectionCdc(s.old_snap, s.new_snap, params);
+TEST(Collection, HeldEmptyFileCostsOnlyItsFingerprint) {
+  Collection both = {{"empty", {}}};
+  auto r = SyncCollectionWith(both, both, SessionProtocol());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->reconstructed, s.new_snap);
-  // Single-roundtrip family: chunk offer + have-bitmap + data.
-  EXPECT_LT(r->stats.roundtrips, 6u);
+  EXPECT_EQ(r->reconstructed, both);
+  EXPECT_EQ(r->files_unchanged, 1u);
+  EXPECT_EQ(r->stats.total_bytes(), 16u + 5u + 1u);  // fp + name + NUL
+  EXPECT_EQ(r->stats.roundtrips, 1u);
 }
 
 TEST(Collection, CostOrderingMatchesPaper) {
@@ -103,8 +109,10 @@ TEST(Collection, CostOrderingMatchesPaper) {
 
   uint64_t full = CollectionFullTransferBytes(s.old_snap, s.new_snap);
   uint64_t gz = CollectionCompressedTransferBytes(s.old_snap, s.new_snap);
-  auto ours = SyncCollection(s.old_snap, s.new_snap, config);
-  auto rs = SyncCollectionRsync(s.old_snap, s.new_snap, rsync_params);
+  auto ours = SyncCollectionWith(s.old_snap, s.new_snap,
+                                 SessionProtocol(config));
+  auto rs = SyncCollectionWith(s.old_snap, s.new_snap,
+                               RsyncProtocol(rsync_params));
   auto delta = CollectionDeltaBytes(s.old_snap, s.new_snap, DeltaCodec::kZd);
   ASSERT_TRUE(ours.ok());
   ASSERT_TRUE(rs.ok());
@@ -119,7 +127,7 @@ TEST(Collection, CostOrderingMatchesPaper) {
 TEST(Collection, RoundtripsAreBatchedNotSummed) {
   Snapshots s = MakeSnapshots(8, 20);
   SyncConfig config;
-  auto r = SyncCollection(s.old_snap, s.new_snap, config);
+  auto r = SyncCollectionWith(s.old_snap, s.new_snap, SessionProtocol(config));
   ASSERT_TRUE(r.ok());
   // Roundtrips must scale with protocol depth, not with file count.
   EXPECT_LT(r->stats.roundtrips, 30u);
@@ -136,7 +144,8 @@ TEST(CollectionBatched, ReconstructsAndSharesRoundtrips) {
   // plus the announce exchange, far below #files * rounds.
   EXPECT_LT(r->stats.roundtrips, 30u);
   // And it should be comparable in bytes to the per-file accounting.
-  auto per_file = SyncCollection(s.old_snap, s.new_snap, config);
+  auto per_file = SyncCollectionWith(s.old_snap, s.new_snap,
+                                     SessionProtocol(config));
   ASSERT_TRUE(per_file.ok());
   EXPECT_LT(r->stats.total_bytes(),
             per_file->stats.total_bytes() * 3 / 2 + 4096);
@@ -183,7 +192,7 @@ TEST(CollectionBatched, AllUnchangedCostsOnlyAnnounce) {
 
 TEST(Collection, EmptyCollections) {
   SyncConfig config;
-  auto r = SyncCollection({}, {}, config);
+  auto r = SyncCollectionWith({}, {}, SessionProtocol(config));
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->reconstructed.empty());
 }

@@ -4,9 +4,9 @@
 // in CTest; perf PRs must keep this green.
 #include <gtest/gtest.h>
 
+#include "fsync/core/protocol.h"
 #include "fsync/testing/corpus.h"
 #include "fsync/testing/differential.h"
-#include "fsync/testing/protocols.h"
 #include "fsync/util/random.h"
 
 namespace fsx {

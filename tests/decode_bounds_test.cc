@@ -11,6 +11,8 @@
 #include <new>
 
 #include "fsync/compress/codec.h"
+#include "fsync/delta/bsdiff.h"
+#include "fsync/delta/vcdiff.h"
 #include "fsync/delta/zd.h"
 #include "fsync/testing/crash.h"
 #include "fsync/util/bit_io.h"
@@ -68,16 +70,36 @@ constexpr int kBadAllocExit = 3;
 #endif
 }
 
-// Replaces the leading varint of `stream` with `declared`. Both decoders
-// open with byte-aligned varints, so the rest of the stream is untouched.
-Bytes WithDeclaredSize(const Bytes& stream, uint64_t declared) {
-  BitReader in(stream);
+// Replaces the varint that starts `offset` bytes into `stream` with
+// `declared`. Every decoder here reads its header as byte-aligned
+// varints, so the rest of the stream is untouched.
+Bytes WithDeclaredSize(const Bytes& stream, uint64_t declared,
+                       size_t offset = 0) {
+  BitReader in(ByteSpan(stream).subspan(offset));
   StatusOr<uint64_t> old = in.ReadVarint();
   EXPECT_TRUE(old.ok());
   BitWriter out;
+  out.WriteBytes(ByteSpan(stream).first(offset));
   out.WriteVarint(declared);
-  out.WriteBytes(ByteSpan(stream).subspan(in.bits_consumed() / 8));
+  out.WriteBytes(ByteSpan(stream).subspan(offset + in.bits_consumed() / 8));
   return out.Finish();
+}
+
+// A reference file and an edited target: the valid stream every delta
+// case inflates.
+struct EditedPair {
+  Bytes reference;
+  Bytes target;
+};
+
+EditedPair MakeEditedPair(uint64_t seed) {
+  Rng rng(seed);
+  EditedPair p;
+  p.reference = SynthSourceFile(rng, 48 * 1024);
+  EditProfile edits;
+  edits.num_edits = 12;
+  p.target = ApplyEdits(p.reference, edits, rng);
+  return p;
 }
 
 bool IsDataLoss(const Status& status) {
@@ -123,18 +145,47 @@ TEST_F(DecodeBounds, DecompressInflatedDeclaredSizeIsTypedDataLoss) {
 
 TEST_F(DecodeBounds, ZdDecodeInflatedTargetSizeIsTypedDataLoss) {
   // A valid zd delta whose header claims a 4 GiB target.
-  Rng rng(11);
-  const Bytes reference = SynthSourceFile(rng, 48 * 1024);
-  EditProfile edits;
-  edits.num_edits = 12;
-  const Bytes target = ApplyEdits(reference, edits, rng);
-  StatusOr<Bytes> delta = ZdEncode(reference, target);
+  const EditedPair p = MakeEditedPair(11);
+  StatusOr<Bytes> delta = ZdEncode(p.reference, p.target);
   ASSERT_TRUE(delta.ok());
   const Bytes bomb = WithDeclaredSize(*delta, uint64_t{1} << 32);
   EXPECT_TRUE(RunCapped([&] {
-    StatusOr<Bytes> back = ZdDecode(reference, *delta);
-    StatusOr<Bytes> r = ZdDecode(reference, bomb);
-    return back.ok() && *back == target && !r.ok() &&
+    StatusOr<Bytes> back = ZdDecode(p.reference, *delta);
+    StatusOr<Bytes> r = ZdDecode(p.reference, bomb);
+    return back.ok() && *back == p.target && !r.ok() &&
+           IsDataLoss(r.status());
+  }));
+}
+
+TEST_F(DecodeBounds, BsdiffDecodeInflatedTargetSizeIsTypedDataLoss) {
+  // A valid bsdiff delta whose header claims a 4 GiB target: more than
+  // its diff and extra sections could ever produce.
+  const EditedPair p = MakeEditedPair(13);
+  StatusOr<Bytes> delta = BsdiffEncode(p.reference, p.target);
+  ASSERT_TRUE(delta.ok());
+  const Bytes bomb = WithDeclaredSize(*delta, uint64_t{1} << 32);
+  EXPECT_TRUE(RunCapped([&] {
+    StatusOr<Bytes> back = BsdiffDecode(p.reference, *delta);
+    StatusOr<Bytes> r = BsdiffDecode(p.reference, bomb);
+    return back.ok() && *back == p.target && !r.ok() &&
+           IsDataLoss(r.status());
+  }));
+}
+
+TEST_F(DecodeBounds, VcdiffDecodeInflatedTargetSizeIsTypedDataLoss) {
+  // A valid vcdiff delta whose header (4-byte magic, source size, then
+  // target size) claims a 4 GiB target.
+  const EditedPair p = MakeEditedPair(17);
+  StatusOr<Bytes> delta = VcdiffEncode(p.reference, p.target);
+  ASSERT_TRUE(delta.ok());
+  BitReader header(ByteSpan(*delta).subspan(4));
+  ASSERT_TRUE(header.ReadVarint().ok());  // the source size
+  const Bytes bomb = WithDeclaredSize(*delta, uint64_t{1} << 32,
+                                      4 + header.bits_consumed() / 8);
+  EXPECT_TRUE(RunCapped([&] {
+    StatusOr<Bytes> back = VcdiffDecode(p.reference, *delta);
+    StatusOr<Bytes> r = VcdiffDecode(p.reference, bomb);
+    return back.ok() && *back == p.target && !r.ok() &&
            IsDataLoss(r.status());
   }));
 }

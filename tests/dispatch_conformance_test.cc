@@ -13,10 +13,10 @@
 #include <string>
 #include <vector>
 
+#include "fsync/core/protocol.h"
 #include "fsync/net/channel.h"
 #include "fsync/simd/dispatch.h"
 #include "fsync/testing/corpus.h"
-#include "fsync/testing/protocols.h"
 #include "fsync/util/random.h"
 
 namespace fsx {

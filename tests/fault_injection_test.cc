@@ -6,9 +6,9 @@
 // ASan/UBSan this also proves corrupted inputs never cause memory errors.
 #include <gtest/gtest.h>
 
+#include "fsync/core/protocol.h"
 #include "fsync/testing/corpus.h"
 #include "fsync/testing/faults.h"
-#include "fsync/testing/protocols.h"
 #include "fsync/util/random.h"
 
 namespace fsx {

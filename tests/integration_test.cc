@@ -22,7 +22,8 @@ ReleasePair SmallRelease() {
 TEST(Integration, ReleasePairSyncsExactly) {
   ReleasePair pair = SmallRelease();
   SyncConfig config;
-  auto r = SyncCollection(pair.old_release, pair.new_release, config);
+  auto r = SyncCollectionWith(pair.old_release, pair.new_release,
+                              SessionProtocol(config));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->reconstructed, pair.new_release);
 }
@@ -32,9 +33,10 @@ TEST(Integration, ProtocolBeatsRsyncOnRelease) {
   SyncConfig config;
   RsyncParams rsync_params;  // default 700-byte blocks
 
-  auto ours = SyncCollection(pair.old_release, pair.new_release, config);
-  auto theirs =
-      SyncCollectionRsync(pair.old_release, pair.new_release, rsync_params);
+  auto ours = SyncCollectionWith(pair.old_release, pair.new_release,
+                                 SessionProtocol(config));
+  auto theirs = SyncCollectionWith(pair.old_release, pair.new_release,
+                                   RsyncProtocol(rsync_params));
   ASSERT_TRUE(ours.ok());
   ASSERT_TRUE(theirs.ok());
   // The paper reports 1.5-3x savings over rsync; require at least 1.2x
@@ -46,7 +48,8 @@ TEST(Integration, ProtocolBeatsRsyncOnRelease) {
 TEST(Integration, ProtocolWithinFactorOfDeltaLowerBound) {
   ReleasePair pair = SmallRelease();
   SyncConfig config;
-  auto ours = SyncCollection(pair.old_release, pair.new_release, config);
+  auto ours = SyncCollectionWith(pair.old_release, pair.new_release,
+                                 SessionProtocol(config));
   auto bound =
       CollectionDeltaBytes(pair.old_release, pair.new_release,
                            DeltaCodec::kZd);
@@ -62,7 +65,8 @@ TEST(Integration, WebCollectionDailySync) {
   p.max_page_bytes = 16 * 1024;
   WebCollectionModel model(p);
   SyncConfig config;
-  auto r = SyncCollection(model.Snapshot(0), model.Snapshot(1), config);
+  auto r = SyncCollectionWith(model.Snapshot(0), model.Snapshot(1),
+                              SessionProtocol(config));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->reconstructed, model.Snapshot(1));
   EXPECT_GT(r->files_unchanged, 0u);
@@ -74,8 +78,10 @@ TEST(Integration, LongerGapsCostMore) {
   p.max_page_bytes = 16 * 1024;
   WebCollectionModel model(p);
   SyncConfig config;
-  auto day1 = SyncCollection(model.Snapshot(0), model.Snapshot(1), config);
-  auto day7 = SyncCollection(model.Snapshot(0), model.Snapshot(7), config);
+  auto day1 = SyncCollectionWith(model.Snapshot(0), model.Snapshot(1),
+                                 SessionProtocol(config));
+  auto day7 = SyncCollectionWith(model.Snapshot(0), model.Snapshot(7),
+                                 SessionProtocol(config));
   ASSERT_TRUE(day1.ok());
   ASSERT_TRUE(day7.ok());
   EXPECT_LT(day1->stats.total_bytes(), day7->stats.total_bytes());
@@ -88,8 +94,10 @@ TEST(Integration, MapQualityDrivesDeltaSize) {
   SyncConfig full;
   SyncConfig capped;
   capped.max_roundtrips = 1;
-  auto with_map = SyncCollection(pair.old_release, pair.new_release, full);
-  auto no_map = SyncCollection(pair.old_release, pair.new_release, capped);
+  auto with_map = SyncCollectionWith(pair.old_release, pair.new_release,
+                                     SessionProtocol(full));
+  auto no_map = SyncCollectionWith(pair.old_release, pair.new_release,
+                                   SessionProtocol(capped));
   ASSERT_TRUE(with_map.ok());
   ASSERT_TRUE(no_map.ok());
   EXPECT_EQ(no_map->reconstructed, pair.new_release);
@@ -100,7 +108,8 @@ TEST(Integration, VcdiffPhaseTwoAlsoWorks) {
   ReleasePair pair = SmallRelease();
   SyncConfig config;
   config.delta_codec = DeltaCodec::kVcdiff;
-  auto r = SyncCollection(pair.old_release, pair.new_release, config);
+  auto r = SyncCollectionWith(pair.old_release, pair.new_release,
+                              SessionProtocol(config));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->reconstructed, pair.new_release);
 }

@@ -12,9 +12,10 @@
 #include <thread>
 #include <unistd.h>
 
-#include "fsync/core/config_io.h"
 #include "fsync/core/checkpoint.h"
+#include "fsync/core/config_io.h"
 #include "fsync/core/endpoint.h"
+#include "fsync/core/protocol.h"
 #include "fsync/netd/client.h"
 #include "fsync/netd/daemon.h"
 #include "fsync/netd/event_loop.h"
@@ -26,7 +27,6 @@
 #include "fsync/netd/sockets.h"
 #include "fsync/store/fsstore.h"
 #include "fsync/testing/corpus.h"
-#include "fsync/testing/protocols.h"
 #include "fsync/testing/tree_protocols.h"
 #include "fsync/util/random.h"
 #include "fsync/workload/tree.h"

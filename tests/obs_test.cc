@@ -7,12 +7,12 @@
 
 #include <string>
 
+#include "fsync/core/protocol.h"
 #include "fsync/obs/json.h"
 #include "fsync/obs/metrics.h"
 #include "fsync/obs/sync_obs.h"
 #include "fsync/obs/trace.h"
 #include "fsync/testing/corpus.h"
-#include "fsync/testing/protocols.h"
 #include "fsync/util/random.h"
 
 namespace fsx {
@@ -175,20 +175,6 @@ TEST(SyncObserver, ReattributeClampsAndPreservesTotals) {
   EXPECT_EQ(o.phase_bytes(Phase::kCandidates, Flow::kDown), 0u);
   EXPECT_EQ(o.phase_bytes(Phase::kDelta, Flow::kDown), 100u);
   EXPECT_EQ(o.total_bytes(), 100u);
-}
-
-TEST(SyncObserver, SnapshotRestoreRollsBackASubSession) {
-  obs::SyncObserver o;
-  o.set_phase(Phase::kHandshake);
-  o.OnWireMessage(Flow::kUp, 5);
-  obs::SyncObserver::State before = o.Snapshot();
-  o.set_phase(Phase::kLiterals);
-  o.OnWireMessage(Flow::kDown, 500);
-  o.RecordRound(1, 10);
-  o.Restore(before);
-  EXPECT_EQ(o.total_bytes(), 5u);
-  EXPECT_EQ(o.phase_bytes(Phase::kLiterals, Flow::kDown), 0u);
-  EXPECT_EQ(o.rounds(), 0u);
 }
 
 TEST(SyncObserver, TraceSinkSeesMessagesRoundsAndSession) {

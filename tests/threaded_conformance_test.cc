@@ -15,10 +15,10 @@
 #include "fsync/cache/sync_cache.h"
 #include "fsync/core/broadcast.h"
 #include "fsync/core/collection.h"
+#include "fsync/core/protocol.h"
 #include "fsync/obs/sync_obs.h"
 #include "fsync/testing/corpus.h"
 #include "fsync/testing/differential.h"
-#include "fsync/testing/protocols.h"
 #include "fsync/util/random.h"
 #include "fsync/workload/release.h"
 #include "fsync/workload/tree.h"
