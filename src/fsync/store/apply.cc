@@ -11,6 +11,7 @@
 #include "fsync/store/crashpoint.h"
 #include "fsync/store/durable_io.h"
 #include "fsync/store/vfs.h"
+#include "fsync/store/walk.h"
 #include "fsync/util/mapped_file.h"
 
 namespace fsx::store {
@@ -19,29 +20,28 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr char kManifestFile[] = ".fsx-manifest";
-
-bool EndsWith(const std::string& s, const char* suffix) {
-  size_t n = std::strlen(suffix);
-  return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-}
-
 StatusOr<Bytes> ReadFileBytes(const fs::path& p) {
   return ReadWholeFile(p.string());
 }
 
-/// The file as it exists on disk right now, in manifest terms; nullopt
-/// when absent. This is the conflict detector's ground truth.
-std::optional<ManifestEntry> DiskEntry(const fs::path& p) {
+/// The bytes of the file on disk right now; nullopt when absent. This
+/// is the conflict detector's ground truth.
+std::optional<Bytes> DiskBytes(const fs::path& p) {
   std::error_code ec;
   if (!fs::is_regular_file(p, ec)) {
     return std::nullopt;
   }
   auto data = ReadFileBytes(p);
-  if (!data.ok()) {
-    return std::nullopt;
-  }
-  return ManifestEntry{data->size(), FileFingerprint(*data)};
+  return data.ok() ? std::optional(std::move(*data)) : std::nullopt;
+}
+
+ManifestEntry EntryOf(ByteSpan data) {
+  return ManifestEntry{data.size(), FileFingerprint(data)};
+}
+
+/// DiskBytes in manifest terms; nullopt when absent.
+std::optional<ManifestEntry> DiskEntry(const std::optional<Bytes>& data) {
+  return data.has_value() ? std::optional(EntryOf(*data)) : std::nullopt;
 }
 
 Status ValidateRelPath(const std::string& path) {
@@ -61,7 +61,7 @@ Status ValidateRelPath(const std::string& path) {
 /// Rewrites `<root>/.fsx-manifest` from the given manifest via durable
 /// temp + rename (the same commit shape as content files).
 Status WriteManifestDurable(const fs::path& root, const Manifest& manifest) {
-  fs::path target = root / kManifestFile;
+  fs::path target = root / kManifestName;
   fs::path tmp = target;
   tmp += kTempSuffix;
   FSYNC_RETURN_IF_ERROR(WriteFileDurable(tmp, SerializeManifest(manifest)));
@@ -165,8 +165,7 @@ Status StageTempDurable(const fs::path& tmp, ByteSpan content,
     return retry;
   }
   auto back = ReadFileBytes(tmp);
-  if (!back.ok() || back->size() != next.size ||
-      FileFingerprint(*back) != next.fingerprint) {
+  if (!back.ok() || !(EntryOf(*back) == next)) {
     CleanupTemp(tmp);
     return Status::DataLoss("staged file failed post-retry verification: " +
                             tmp.string());
@@ -186,26 +185,19 @@ uint64_t StepLength(const ReconstructCommand& step) {
 /// a leftover journal must not make every future apply fail).
 StatusOr<Manifest> ManifestFromDiskLenient(const fs::path& base) {
   Manifest m;
-  std::error_code ec;
-  for (auto it = fs::recursive_directory_iterator(base, ec);
-       it != fs::recursive_directory_iterator(); it.increment(ec)) {
-    if (ec) {
-      return Status::Internal("walk failed: " + ec.message());
-    }
-    if (it->is_symlink(ec) || !it->is_regular_file(ec)) {
-      continue;
-    }
-    std::string rel = fs::relative(it->path(), base, ec).generic_string();
-    if (ec || rel.empty() || rel.starts_with("..") ||
-        IsInternalArtifact(rel)) {
-      continue;
-    }
-    auto data = ReadFileBytes(it->path());
-    if (!data.ok()) {
-      continue;  // vanished mid-walk; the manifest reflects what remains
-    }
-    m[rel] = ManifestEntry{data->size(), FileFingerprint(*data)};
-  }
+  FSYNC_RETURN_IF_ERROR(WalkTree(
+      base, Symlinks::kSkip,
+      [&](const fs::path& path, std::string rel) -> Status {
+        if (IsInternalArtifact(rel)) {
+          return Status::Ok();
+        }
+        // A file that vanished mid-walk is left out: the manifest
+        // reflects what remains.
+        if (auto data = ReadFileBytes(path); data.ok()) {
+          m[std::move(rel)] = EntryOf(*data);
+        }
+        return Status::Ok();
+      }));
   return m;
 }
 
@@ -227,6 +219,20 @@ Status ApplyTransaction::CheckBegun() const {
     return Status::FailedPrecondition("apply transaction already committed");
   }
   return Status::Ok();
+}
+
+Status ApplyTransaction::SkipConflict(
+    const std::string& path, const std::optional<ManifestEntry>& disk,
+    const std::string& why) {
+  if (disk.has_value()) {
+    manifest_[path] = *disk;  // manifest reflects what is really there
+  } else {
+    manifest_.erase(path);
+  }
+  report_.files.push_back({path, FileApplyOutcome::Action::kConflictSkipped});
+  report_.conflicts.push_back(path);
+  obs::AddEvent(obs_, obs::Event::kConflictDetected);
+  return Status::Aborted(why);
 }
 
 Status ApplyTransaction::Begin() {
@@ -258,15 +264,19 @@ Status ApplyTransaction::StageFile(const std::string& path, ByteSpan content,
   FSYNC_RETURN_IF_ERROR(ValidateRelPath(path));
 
   fs::path target = root_ / fs::path(path);
-  ManifestEntry next{content.size(), FileFingerprint(content)};
-  std::optional<ManifestEntry> disk = DiskEntry(target);
-
-  if (disk.has_value() && *disk == next) {
+  ManifestEntry next = EntryOf(content);
+  // One read of the disk file per staged path, even when the update leaves
+  // it unchanged: equal bytes are the unchanged case, and the read is what
+  // sees a concurrent edit. Only bytes that differ are fingerprinted, for
+  // the conflict rule below.
+  std::optional<Bytes> on_disk = DiskBytes(target);
+  if (on_disk.has_value() && std::ranges::equal(*on_disk, content)) {
     manifest_[path] = next;
     report_.files.push_back({path, FileApplyOutcome::Action::kUnchanged});
     ++report_.files_unchanged;
     return Status::Ok();
   }
+  std::optional<ManifestEntry> disk = DiskEntry(on_disk);
 
   // Conflict rule: the disk must look exactly as the caller last saw it
   // (absent when expected_old is null). Anything else means the file
@@ -275,17 +285,9 @@ Status ApplyTransaction::StageFile(const std::string& path, ByteSpan content,
                       ? disk.has_value()
                       : (!disk.has_value() || !(*disk == *expected_old));
   if (conflict) {
-    if (disk.has_value()) {
-      manifest_[path] = *disk;  // manifest reflects what is really there
-    } else {
-      manifest_.erase(path);
-    }
-    report_.files.push_back(
-        {path, FileApplyOutcome::Action::kConflictSkipped});
-    report_.conflicts.push_back(path);
-    obs::AddEvent(obs_, obs::Event::kConflictDetected);
-    return Status::Aborted("concurrent modification of " + path +
-                           "; file skipped");
+    return SkipConflict(path, disk,
+                        "concurrent modification of " + path +
+                            "; file skipped");
   }
 
   fs::path tmp = target;
@@ -331,17 +333,8 @@ Status ApplyTransaction::AdoptFile(const std::string& path,
     // The source vanished under us (or a crashed predecessor already
     // completed the rename and swept it). The target keeps whatever is
     // on disk; record it faithfully like any other conflict.
-    std::optional<ManifestEntry> disk = DiskEntry(root_ / fs::path(path));
-    if (disk.has_value()) {
-      manifest_[path] = *disk;
-    } else {
-      manifest_.erase(path);
-    }
-    report_.files.push_back(
-        {path, FileApplyOutcome::Action::kConflictSkipped});
-    report_.conflicts.push_back(path);
-    obs::AddEvent(obs_, obs::Event::kConflictDetected);
-    return Status::Aborted("adopt source missing: " + from_path);
+    return SkipConflict(path, DiskEntry(DiskBytes(root_ / fs::path(path))),
+                        "adopt source missing: " + from_path);
   }
   return StageFile(path, *content, expected_old, FileOp::kAdopt, from_path);
 }
@@ -361,7 +354,7 @@ Status ApplyTransaction::DeleteFile(const std::string& path,
   FSYNC_RETURN_IF_ERROR(ValidateRelPath(path));
 
   fs::path target = root_ / fs::path(path);
-  std::optional<ManifestEntry> disk = DiskEntry(target);
+  std::optional<ManifestEntry> disk = DiskEntry(DiskBytes(target));
   if (!disk.has_value()) {
     manifest_.erase(path);  // already gone; nothing to do
     return Status::Ok();
@@ -372,13 +365,9 @@ Status ApplyTransaction::DeleteFile(const std::string& path,
   // else's work; skip it.
   bool conflict = expected_old == nullptr || !(*disk == *expected_old);
   if (conflict) {
-    manifest_[path] = *disk;
-    report_.files.push_back(
-        {path, FileApplyOutcome::Action::kConflictSkipped});
-    report_.conflicts.push_back(path);
-    obs::AddEvent(obs_, obs::Event::kConflictDetected);
-    return Status::Aborted("concurrent modification of " + path +
-                           "; delete skipped");
+    return SkipConflict(path, disk,
+                        "concurrent modification of " + path +
+                            "; delete skipped");
   }
 
   if (options_.journal) {
@@ -476,12 +465,10 @@ StatusOr<ApplyReport> ApplyTreeWithAdopts(const std::string& root,
   // per-file by AdoptFile's conflict path.
   std::map<std::string, Bytes> sources;
   for (const AdoptOp& op : adopts) {
-    if (sources.contains(op.from)) {
-      continue;
-    }
-    auto data = ReadFileBytes(fs::path(root) / fs::path(op.from));
-    if (data.ok()) {
-      sources[op.from] = std::move(*data);
+    if (!sources.contains(op.from)) {
+      if (auto data = ReadFileBytes(fs::path(root) / op.from); data.ok()) {
+        sources[op.from] = std::move(*data);
+      }
     }
   }
   std::set<std::string> adopted_paths;
@@ -505,24 +492,18 @@ StatusOr<ApplyReport> ApplyTreeWithAdopts(const std::string& root,
   }
 
   if (options.delete_extra) {
-    std::error_code ec;
+    // Symlinks are skipped, as in the lenient manifest: the apply never
+    // writes one, so a link is local state, not an extra to delete.
     std::vector<std::string> extra;
-    for (auto it = fs::recursive_directory_iterator(root, ec);
-         it != fs::recursive_directory_iterator(); it.increment(ec)) {
-      if (ec) {
-        return Status::Internal("walk failed: " + ec.message());
-      }
-      if (!it->is_regular_file(ec)) {
-        continue;
-      }
-      std::string rel =
-          fs::relative(it->path(), fs::path(root), ec).generic_string();
-      if (ec || rel.empty() || IsInternalArtifact(rel) ||
-          files.contains(rel) || adopted_paths.contains(rel)) {
-        continue;
-      }
-      extra.push_back(std::move(rel));
-    }
+    FSYNC_RETURN_IF_ERROR(WalkTree(
+        root, Symlinks::kSkip,
+        [&](const fs::path&, std::string rel) -> Status {
+          if (!IsInternalArtifact(rel) && !files.contains(rel) &&
+              !adopted_paths.contains(rel)) {
+            extra.push_back(std::move(rel));
+          }
+          return Status::Ok();
+        }));
     for (const std::string& rel : extra) {
       Status s = txn.DeleteFile(rel, expected_entry(rel));
       if (!s.ok() && s.code() != StatusCode::kAborted) {
@@ -555,24 +536,18 @@ StatusOr<RecoverReport> RecoverTree(const std::string& root,
   // The tree journal itself is resolved separately below.
   std::vector<fs::path> temps;
   std::vector<fs::path> inplace_targets;
-  for (auto it = fs::recursive_directory_iterator(base, ec);
-       it != fs::recursive_directory_iterator(); it.increment(ec)) {
-    if (ec) {
-      return Status::Internal("walk failed: " + ec.message());
-    }
-    if (!it->is_regular_file(ec)) {
-      continue;
-    }
-    std::string name = it->path().filename().string();
-    if (EndsWith(name, kTempSuffix)) {
-      temps.push_back(it->path());
-    } else if (EndsWith(name, kJournalSuffix) &&
-               it->path() != tree_journal) {
-      std::string target = it->path().string();
-      target.resize(target.size() - std::strlen(kJournalSuffix));
-      inplace_targets.push_back(fs::path(target));
-    }
-  }
+  FSYNC_RETURN_IF_ERROR(WalkTree(
+      base, Symlinks::kFollow,
+      [&](const fs::path& path, const std::string& rel) -> Status {
+        if (rel.ends_with(kTempSuffix)) {
+          temps.push_back(path);
+        } else if (rel.ends_with(kJournalSuffix) && rel != kJournalName) {
+          std::string target = path.string();
+          target.resize(target.size() - std::strlen(kJournalSuffix));
+          inplace_targets.push_back(fs::path(target));
+        }
+        return Status::Ok();
+      }));
 
   // Per-file in-place journals first: they restore file *contents*,
   // which the manifest refresh below must observe.
@@ -630,7 +605,7 @@ StatusOr<RecoverReport> RecoverTree(const std::string& root,
 
   // The manifest may describe the interrupted transaction's intent;
   // refresh it to what actually survived so VerifyTree is clean again.
-  if (rep.had_journal && fs::is_regular_file(base / kManifestFile, ec)) {
+  if (rep.had_journal && fs::is_regular_file(base / kManifestName, ec)) {
     FSYNC_ASSIGN_OR_RETURN(Manifest survivors,
                            ManifestFromDiskLenient(base));
     FSYNC_RETURN_IF_ERROR(WriteManifestDurable(base, survivors));

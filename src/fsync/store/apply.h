@@ -23,6 +23,7 @@
 #define FSYNC_STORE_APPLY_H_
 
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -130,6 +131,11 @@ class ApplyTransaction {
   Status StageFile(const std::string& path, ByteSpan content,
                    const ManifestEntry* expected_old, FileOp op,
                    const std::string& from_path);
+  /// Records `path` as a skipped conflict, its manifest entry set to
+  /// what is on disk (`disk`, nullopt = absent); returns Aborted(why).
+  Status SkipConflict(const std::string& path,
+                      const std::optional<ManifestEntry>& disk,
+                      const std::string& why);
 
   std::filesystem::path root_;
   ApplyOptions options_;

@@ -8,6 +8,7 @@
 #include "fsync/hash/md5.h"
 #include "fsync/store/journal.h"
 #include "fsync/store/vfs.h"
+#include "fsync/store/walk.h"
 #include "fsync/util/hex.h"
 #include "fsync/util/mapped_file.h"
 
@@ -16,15 +17,6 @@ namespace fsx {
 namespace fs = std::filesystem;
 
 namespace {
-
-constexpr char kManifestName[] = ".fsx-manifest";
-
-StatusOr<Bytes> ReadFileBytes(const fs::path& p) {
-  // One stat + read loop (util/mapped_file.h) instead of the former
-  // byte-at-a-time istreambuf_iterator — the collection loader walks
-  // whole trees through here.
-  return ReadWholeFile(p.string());
-}
 
 // Plain (non-durable) write through the process-current Vfs, so the
 // disk-fault harness reaches it and errors carry the errno taxonomy.
@@ -42,10 +34,11 @@ Status WriteFileBytes(const fs::path& p, ByteSpan data) {
 }
 
 // Stage-and-rename write: a killed process leaves `p` either old or new
-// (the stranded `.fsx-tmp` is swept by store::RecoverTree).
-Status WriteFileAtomic(const fs::path& p, ByteSpan data) {
+// (a stranded `.fsx-tmp` is swept by store::RecoverTree).
+Status WriteFileAtomic(const fs::path& p, ByteSpan data,
+                       const char* temp_suffix = store::kTempSuffix) {
   fs::path tmp = p;
-  tmp += store::kTempSuffix;
+  tmp += temp_suffix;
   FSYNC_RETURN_IF_ERROR(WriteFileBytes(tmp, data));
   Status renamed = store::CurrentVfs().Rename(tmp, p);
   if (!renamed.ok()) {
@@ -167,31 +160,16 @@ StatusOr<Collection> LoadTree(const std::string& root) {
     return Status::NotFound("not a directory: " + root);
   }
   Collection out;
-  for (auto it = fs::recursive_directory_iterator(base, ec);
-       it != fs::recursive_directory_iterator(); it.increment(ec)) {
-    if (ec) {
-      return Status::Internal("walk failed: " + ec.message());
-    }
-    if (it->is_symlink(ec)) {
-      // A symlink could alias content from outside the tree (or turn a
-      // later overwrite into an out-of-tree write); refuse rather than
-      // silently follow it.
-      return Status::FailedPrecondition("refusing symlink in tree: " +
-                                        it->path().string());
-    }
-    if (!it->is_regular_file(ec)) {
-      continue;
-    }
-    std::string rel = fs::relative(it->path(), base, ec).generic_string();
-    if (ec || rel.empty() || rel.starts_with("..")) {
-      return Status::Internal("path escapes tree: " + it->path().string());
-    }
-    if (store::IsInternalArtifact(rel)) {
-      continue;  // metadata, not content
-    }
-    FSYNC_ASSIGN_OR_RETURN(Bytes data, ReadFileBytes(it->path()));
-    out[rel] = std::move(data);
-  }
+  FSYNC_RETURN_IF_ERROR(store::WalkTree(
+      base, store::Symlinks::kRefuse,
+      [&](const fs::path& path, std::string rel) -> Status {
+        if (store::IsInternalArtifact(rel)) {
+          return Status::Ok();  // metadata, not content
+        }
+        FSYNC_ASSIGN_OR_RETURN(out[std::move(rel)],
+                               ReadWholeFile(path.string()));
+        return Status::Ok();
+      }));
   return out;
 }
 
@@ -207,32 +185,32 @@ Status StoreTree(const std::string& root, const Collection& files,
     FSYNC_RETURN_IF_ERROR(WriteFileAtomic(base / name, data));
   }
   if (delete_extra) {
+    // Collect first, remove after: removing while the walk is open would
+    // change the directories under the iterator.
     std::vector<fs::path> doomed;
-    for (auto it = fs::recursive_directory_iterator(base, ec);
-         it != fs::recursive_directory_iterator(); it.increment(ec)) {
-      if (!it->is_regular_file(ec)) {
-        continue;
-      }
-      std::string rel =
-          fs::relative(it->path(), base, ec).generic_string();
-      if (!store::IsInternalArtifact(rel) && !files.contains(rel)) {
-        doomed.push_back(it->path());
-      }
-    }
+    FSYNC_RETURN_IF_ERROR(store::WalkTree(
+        base, store::Symlinks::kSkip,
+        [&](const fs::path& path, const std::string& rel) -> Status {
+          if (!store::IsInternalArtifact(rel) && !files.contains(rel)) {
+            doomed.push_back(path);
+          }
+          return Status::Ok();
+        }));
     for (const fs::path& p : doomed) {
-      fs::remove(p, ec);
+      FSYNC_RETURN_IF_ERROR(store::CurrentVfs().Unlink(p).status());
     }
   }
   if (write_manifest) {
     FSYNC_RETURN_IF_ERROR(WriteFileAtomic(
-        base / kManifestName, SerializeManifest(BuildManifest(files))));
+        base / store::kManifestName, SerializeManifest(BuildManifest(files))));
   }
   return Status::Ok();
 }
 
 StatusOr<std::vector<std::string>> VerifyTree(const std::string& root) {
-  FSYNC_ASSIGN_OR_RETURN(Bytes manifest_bytes,
-                         ReadFileBytes(fs::path(root) / kManifestName));
+  FSYNC_ASSIGN_OR_RETURN(
+      Bytes manifest_bytes,
+      ReadWholeFile((fs::path(root) / store::kManifestName).string()));
   FSYNC_ASSIGN_OR_RETURN(Manifest want, ParseManifest(manifest_bytes));
   FSYNC_ASSIGN_OR_RETURN(Collection files, LoadTree(root));
   Manifest got = BuildManifest(files);
@@ -255,16 +233,7 @@ StatusOr<std::vector<std::string>> VerifyTree(const std::string& root) {
 
 Status SaveCheckpointFile(const std::string& path,
                           const SessionCheckpoint& cp) {
-  fs::path target(path);
-  fs::path tmp = target;
-  tmp += ".tmp";
-  FSYNC_RETURN_IF_ERROR(WriteFileBytes(tmp, SerializeCheckpoint(cp)));
-  Status renamed = store::CurrentVfs().Rename(tmp, target);
-  if (!renamed.ok()) {
-    (void)store::CurrentVfs().Unlink(tmp);
-    return renamed;
-  }
-  return Status::Ok();
+  return WriteFileAtomic(path, SerializeCheckpoint(cp), ".tmp");
 }
 
 StatusOr<SessionCheckpoint> LoadCheckpointFile(const std::string& path) {

@@ -62,7 +62,8 @@ StatusOr<Collection> LoadTree(const std::string& root);
 /// durability across power loss use the journaled store::ApplyTree).
 /// With `delete_extra`, regular files not in `files` are removed
 /// (mirror semantics) — except fsstore/apply bookkeeping artifacts
-/// (manifest, journals, staged temps). Also writes the manifest to
+/// (manifest, journals, staged temps) and symlinks; a failed walk or
+/// removal is returned as its typed status. Also writes the manifest to
 /// `<root>/.fsx-manifest` when `write_manifest` is set.
 Status StoreTree(const std::string& root, const Collection& files,
                  bool delete_extra, bool write_manifest = false);

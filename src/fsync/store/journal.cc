@@ -102,11 +102,6 @@ class Cursor {
   size_t pos_ = 0;
 };
 
-bool EndsWith(const std::string& s, const char* suffix) {
-  size_t n = std::strlen(suffix);
-  return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-}
-
 }  // namespace
 
 Bytes EncodeJournalRecord(const JournalRecord& r) {
@@ -319,8 +314,8 @@ bool IsInternalArtifact(const std::string& rel_path) {
   size_t slash = rel_path.find_last_of('/');
   std::string base =
       slash == std::string::npos ? rel_path : rel_path.substr(slash + 1);
-  return base == ".fsx-manifest" || base == kJournalName ||
-         EndsWith(base, kTempSuffix) || EndsWith(base, kJournalSuffix);
+  return base == kManifestName || base == kJournalName ||
+         base.ends_with(kTempSuffix) || base.ends_with(kJournalSuffix);
 }
 
 }  // namespace fsx::store

@@ -35,9 +35,11 @@ namespace fsx::store {
 
 class VfsFile;
 
-/// Name of the tree-level journal at the root of a managed tree, and
-/// the suffix of staged temp files awaiting their commit rename. An
-/// in-place file apply journals to `<file><kJournalSuffix>`.
+/// Names of the manifest and the tree-level journal at the root of a
+/// managed tree, and the suffix of staged temp files awaiting their
+/// commit rename. An in-place file apply journals to
+/// `<file><kJournalSuffix>`.
+inline constexpr char kManifestName[] = ".fsx-manifest";
 inline constexpr char kJournalName[] = ".fsx-journal";
 inline constexpr char kJournalSuffix[] = ".fsx-journal";
 inline constexpr char kTempSuffix[] = ".fsx-tmp";

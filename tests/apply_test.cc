@@ -179,6 +179,155 @@ TEST_F(ApplyTest, FileAppearingMidApplyIsNotDeleted) {
   EXPECT_TRUE(fs::exists(fs::path(root_) / "surprise.txt"));
 }
 
+TEST_F(ApplyTest, ConcurrentEditToUnchangedFileIsAConflict) {
+  Collection files = SampleFiles();
+  ASSERT_TRUE(ApplyTree(root_, files, Manifest{}).ok());
+  Manifest expected = BuildManifest(files);
+
+  // The update leaves a.txt as it was (target == expected), but someone
+  // edits it on disk between the scan and the apply. Only reading the
+  // disk file sees that; the edit must survive and be reported.
+  WriteRaw("a.txt", "edited between scan and apply");
+  obs::SyncObserver obs;
+  auto report = ApplyTree(root_, files, expected, {}, &obs);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->conflicts, std::vector<std::string>{"a.txt"});
+  EXPECT_EQ(report->files_unchanged, files.size() - 1);
+  EXPECT_EQ(report->files_committed, 0u);
+  EXPECT_EQ(obs.event_count(obs::Event::kConflictDetected), 1u);
+  EXPECT_EQ(FileBytes(fs::path(root_) / "a.txt"),
+            ToBytes("edited between scan and apply"));
+
+  // The manifest records the disk entry, so verify stays clean.
+  auto manifest = ParseManifest(FileBytes(fs::path(root_) / ".fsx-manifest"));
+  ASSERT_TRUE(manifest.ok());
+  EXPECT_EQ((*manifest)["a.txt"],
+            BuildManifest({{"a.txt", ToBytes("edited between scan and apply")}})
+                .at("a.txt"));
+  auto dirty = VerifyTree(root_);
+  ASSERT_TRUE(dirty.ok()) << dirty.status().ToString();
+  EXPECT_TRUE(dirty->empty());
+}
+
+/// Every name and outcome the store gives for a tree, run through one
+/// spelling of its root: the mirror StoreTree (deleting an extra),
+/// LoadTree, a mirror ApplyTree (edit, add, delete) and RecoverTree's
+/// sweep of a stranded temp.
+std::vector<std::string> StoreOutcomes(const std::string& root) {
+  std::vector<std::string> log;
+  auto names = [&](const char* step) {
+    auto tree = LoadTree(root);
+    log.push_back(std::string(step) + " load " + tree.status().ToString());
+    for (const auto& [name, data] : tree.ok() ? *tree : Collection{}) {
+      log.push_back(name + " " + ToString(data));
+    }
+  };
+  Collection files = SampleFiles();
+  log.push_back(StoreTree(root, files, /*delete_extra=*/true,
+                          /*write_manifest=*/true)
+                    .ToString());
+  names("store");
+
+  Collection next = files;
+  next["a.txt"] = ToBytes("alpha v2");
+  next["dir/new.txt"] = ToBytes("added");
+  next.erase("dir/deep/c.bin");
+  auto report = ApplyTree(root, next, BuildManifest(files));
+  log.push_back("apply " + report.status().ToString());
+  for (const FileApplyOutcome& f : report.ok() ? report->files
+                                               : ApplyReport{}.files) {
+    log.push_back(f.path + " " + std::to_string(static_cast<int>(f.action)));
+  }
+  names("apply");
+
+  std::ofstream(fs::path(root) / "dir/b.txt.fsx-tmp") << "debris";
+  auto rec = RecoverTree(root);
+  log.push_back("recover " + rec.status().ToString() + " " +
+                std::to_string(rec.ok() ? rec->cleaned_temps : 99));
+  log.push_back(fs::exists(fs::path(root) / "dir/b.txt.fsx-tmp") ? "temp left"
+                                                                 : "swept");
+  return log;
+}
+
+TEST_F(ApplyTest, RootSpellingDoesNotChangeNamesOrOutcomes) {
+  // Tree names are computed lexically against the root as given, so
+  // every spelling of the same directory must give the same names.
+  auto fresh = [&] {
+    fs::remove_all(root_);
+    fs::create_directories(fs::path(root_) / "dir");
+    WriteRaw("extra.txt", "not in the collection");
+    WriteRaw("dir/extra.txt", "nor this");
+  };
+  fresh();
+  const std::vector<std::string> want = StoreOutcomes(root_);
+  ASSERT_FALSE(want.empty());
+  EXPECT_EQ(want.front(), "OK");
+  EXPECT_EQ(want.back(), "swept");
+
+  const fs::path abs(root_);
+  const std::string leaf = abs.filename().string();
+  for (const std::string& spelled :
+       {root_ + "/", (abs.parent_path() / "." / leaf).string(),
+        (abs / ".." / leaf).string(),
+        abs.lexically_relative(fs::current_path()).string()}) {
+    fresh();
+    EXPECT_EQ(StoreOutcomes(spelled), want) << spelled;
+  }
+}
+
+#if defined(__unix__) || defined(__APPLE__)
+TEST_F(ApplyTest, MirrorApplyLeavesOutOfTreeSymlinkAlone) {
+  Collection files = SampleFiles();
+  ASSERT_TRUE(ApplyTree(root_, files, Manifest{}).ok());
+  const fs::path outside = root_ + "_outside";
+  fs::create_directories(outside);
+  std::ofstream(outside / "x") << "outside the tree";
+  fs::create_symlink(outside / "x", fs::path(root_) / "out-link");
+
+  // The link is not in the collection, but the apply never deletes or
+  // writes through a symlink; a second apply must work as well (no
+  // journal left behind by a failed first one).
+  Collection next = files;
+  next["dir/b.txt"] = ToBytes("bravo v2");
+  auto apply = [&](const Collection& from, const Collection& to) {
+    auto report = ApplyTree(root_, to, BuildManifest(from));
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_TRUE(report->conflicts.empty());
+    EXPECT_EQ(report->files_committed, 1u);
+    EXPECT_EQ(report->files_deleted, 0u);
+    EXPECT_FALSE(fs::exists(fs::path(root_) / kJournalName));
+  };
+  apply(files, next);
+  apply(next, files);
+  EXPECT_EQ(fs::read_symlink(fs::path(root_) / "out-link"), outside / "x");
+  EXPECT_EQ(FileBytes(outside / "x"), ToBytes("outside the tree"));
+  fs::remove_all(outside);
+}
+
+TEST_F(ApplyTest, MirrorApplySkipsInTreeSymlink) {
+  Collection files = SampleFiles();
+  ASSERT_TRUE(ApplyTree(root_, files, Manifest{}).ok());
+  fs::create_symlink("a.txt", fs::path(root_) / "link.txt");
+
+  // The link sits at link.txt, a name not in the collection; it is
+  // neither the file it points to nor an extra to delete.
+  Collection next = files;
+  next["a.txt"] = ToBytes("alpha v2");
+  auto report = ApplyTree(root_, next, BuildManifest(files));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->conflicts.empty());
+  EXPECT_EQ(report->files_committed, 1u);
+  EXPECT_EQ(report->files_deleted, 0u);
+  EXPECT_FALSE(fs::exists(fs::path(root_) / kJournalName));
+  ASSERT_TRUE(fs::is_symlink(fs::path(root_) / "link.txt"));
+  EXPECT_EQ(fs::read_symlink(fs::path(root_) / "link.txt"), "a.txt");
+  EXPECT_EQ(FileBytes(fs::path(root_) / "link.txt"), ToBytes("alpha v2"));
+  auto manifest = ParseManifest(FileBytes(fs::path(root_) / ".fsx-manifest"));
+  ASSERT_TRUE(manifest.ok());
+  EXPECT_EQ(*manifest, BuildManifest(next));
+}
+#endif  // __unix__ || __APPLE__
+
 TEST_F(ApplyTest, RecoverTreeIsANoOpOnCleanTree) {
   Collection files = SampleFiles();
   ASSERT_TRUE(ApplyTree(root_, files, Manifest{}).ok());

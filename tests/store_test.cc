@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <filesystem>
 #include <fstream>
 
 #include "fsync/store/fsstore.h"
+#include "fsync/store/vfs_fault.h"
 #include "fsync/util/random.h"
 #include "fsync/workload/text_synth.h"
 
@@ -219,6 +221,51 @@ TEST_F(StoreTest, InternalArtifactsExcludedFromLoadAndMirroring) {
   EXPECT_TRUE(fs::exists(fs::path(root_) / "ghost.txt.fsx-tmp"));
   EXPECT_TRUE(fs::exists(fs::path(root_) / "dir/b.txt.fsx-journal"));
 }
+
+TEST_F(StoreTest, StoreTreeReportsFailedMirrorDelete) {
+  Collection files = SampleCollection(13);
+  ASSERT_TRUE(StoreTree(root_, files, false).ok());
+  Collection fewer = files;
+  fewer.erase("dir/b.txt");
+
+  // The disk refuses to remove the extra file: the mirror did not
+  // happen, so StoreTree must say so with the typed status.
+  store::FaultVfs fault;
+  store::DiskFaultRule rule;
+  rule.path_pattern = "b.txt";
+  rule.op_mask = store::VfsOpBit(store::VfsOp::kUnlink);
+  rule.fail_at_op = 0;
+  rule.fail_errno = EIO;
+  fault.AddRule(rule);
+  {
+    store::ScopedVfs scoped(&fault);
+    Status s = StoreTree(root_, fewer, /*delete_extra=*/true);
+    EXPECT_EQ(s.code(), StatusCode::kUnavailable) << s.ToString();
+  }
+  EXPECT_EQ(fault.faults_injected(), 1u);
+  EXPECT_TRUE(fs::exists(fs::path(root_) / "dir/b.txt"));
+
+  // With the disk healthy again the same call completes the mirror.
+  ASSERT_TRUE(StoreTree(root_, fewer, /*delete_extra=*/true).ok());
+  auto back = LoadTree(root_);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(*back, fewer);
+}
+
+#if defined(__unix__) || defined(__APPLE__)
+TEST_F(StoreTest, MirrorDeleteLeavesSymlinks) {
+  Collection files = SampleCollection(14);
+  ASSERT_TRUE(StoreTree(root_, files, false).ok());
+  fs::create_symlink("a.txt", fs::path(root_) / "link.txt");
+  // Regular files outside the collection are removed; a symlink is not a
+  // regular file and stays, whatever it points at.
+  Collection fewer = files;
+  fewer.erase("dir/b.txt");
+  ASSERT_TRUE(StoreTree(root_, fewer, /*delete_extra=*/true).ok());
+  EXPECT_FALSE(fs::exists(fs::path(root_) / "dir/b.txt"));
+  EXPECT_TRUE(fs::is_symlink(fs::path(root_) / "link.txt"));
+}
+#endif
 
 TEST_F(StoreTest, StoreTreeLeavesNoTempsBehind) {
   Collection files = SampleCollection(12);

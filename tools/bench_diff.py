@@ -10,7 +10,10 @@ rounds are deterministic, so these must match exactly:
   - rounds;
   - bytes.total, bytes.up, bytes.down and every bytes.phases entry.
 wall_ns is reported as a run/baseline ratio (geometric mean over the
-rows that carry a time) and never gates: it depends on the host.
+rows that carry a time) and never gates: it depends on the host. A
+ratio outside the noise band, above 1 + WALL_NOISE_BAND or below
+1 / (1 + WALL_NOISE_BAND), is flagged SLOWER or FASTER in the report
+line; the exit status ignores it.
 
 Reports in RUN_DIR without a baseline are ignored. Standard library
 only; prints one line per report and per mismatch, and exits non-zero
@@ -22,6 +25,12 @@ import json
 import math
 import os
 import sys
+
+# Noise in a report's geometric-mean wall ratio: three runs of the eight
+# paper drivers, unchanged, on one 4-vCPU host read 0.74x to 1.26x
+# against the committed baseline. Symmetric in log space, so a 1.4x
+# slowdown and a 1.4x speed-up are flagged alike.
+WALL_NOISE_BAND = 0.4
 
 
 def row_key(row):
@@ -90,6 +99,19 @@ def compare(base_doc, run_doc):
     return problems, ratio
 
 
+def wall_text(ratio):
+    """The report line's wall_ns field, flagged outside the noise band."""
+    if ratio is None:
+        return "wall_ns run/baseline n/a, not gated"
+    text = f"wall_ns run/baseline {ratio:.2f}x"
+    band = f"outside the {1 + WALL_NOISE_BAND:.2f}x noise band"
+    if ratio > 1 + WALL_NOISE_BAND:
+        text += f", SLOWER, {band}"
+    elif ratio < 1 / (1 + WALL_NOISE_BAND):
+        text += f", FASTER, {band}"
+    return text + ", not gated"
+
+
 def main(argv):
     if len(argv) != 3:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -112,9 +134,8 @@ def main(argv):
         with open(run_path) as f:
             run_doc = json.load(f)
         problems, ratio = compare(base_doc, run_doc)
-        wall = "n/a" if ratio is None else f"{ratio:.2f}x"
         status = "DIFF" if problems else "ok"
-        print(f"{name}: {status} (wall_ns run/baseline {wall}, not gated)")
+        print(f"{name}: {status} ({wall_text(ratio)})")
         for line in problems:
             print(f"  {line}")
         failed = failed or bool(problems)
